@@ -125,7 +125,7 @@ def _resolve_seed(flag_seed, config_values: dict[str, str] | None) -> int:
     if flag_seed is not None:
         return int(flag_seed)
     if config_values and "seed" in config_values:
-        return int(config_values["seed"])
+        return config_from_dict({"seed": config_values["seed"]}).seed
     env = os.environ.get("DS2TA_SEED")
     if env is not None:
         try:

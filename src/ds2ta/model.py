@@ -91,6 +91,9 @@ class ModelConfig:
         if self.timesteps < 1 or self.blocks < 1 or self.n_classes < 2:
             raise ConfigError(f"degenerate model sizes: timesteps={self.timesteps}, "
                               f"blocks={self.blocks}, n_classes={self.n_classes}")
+        for name in ("heads", "embed_dim", "patch_size", "img_size", "in_channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.img_size % self.patch_size != 0:
@@ -146,10 +149,11 @@ def config_from_dict(values: dict[str, str], base: ModelConfig | None = None) ->
             if raw not in ("true", "false"):
                 raise ConfigError(f"config key {key}: expected true/false, got {raw!r}")
             value = raw == "true"
-        elif kind == "int":
-            value = int(raw)
-        elif kind == "float":
-            value = float(raw)
+        elif kind in ("int", "float"):
+            try:
+                value = int(raw) if kind == "int" else float(raw)
+            except ValueError:
+                raise ConfigError(f"config key {key}: expected {kind}, got {raw!r}") from None
         else:
             value = raw
         setattr(cfg, key, value)

@@ -90,23 +90,63 @@ def lif_forward(current: DiffTensor, params: LifParams | None = None, *,
     leak, theta, alpha = params.leak, params.theta, params.surrogate_alpha
     membrane = np.empty_like(x)
     spikes = np.empty_like(x)
-    v = np.zeros_like(x[0])
-    s = np.zeros_like(x[0])
+    # The kernels below work on [T, M] views, whose rows are arrays even
+    # for a 1-D input.
+    xf = x.reshape(steps, -1)
+    vf = membrane.reshape(steps, -1)
+    sf = spikes.reshape(steps, -1)
+    # V[t] = (leak * V[t-1]) * (1 - S[t-1]) + I[t], written in place into
+    # the rows of the saved trajectories; from rest, V[0] = 0 + I[0].
+    reset = np.empty_like(xf[0])
     for t in range(steps):
-        v = leak * v * (1.0 - s) + x[t]
-        s = surrogate_primitive(v - theta, alpha) if smooth else (v >= theta).astype(x.dtype)
-        membrane[t] = v
-        spikes[t] = s
+        v = vf[t]
+        if t == 0:
+            np.add(xf[0], 0.0, out=v)
+        else:
+            np.subtract(1.0, sf[t - 1], out=reset)
+            np.multiply(vf[t - 1], leak, out=v)
+            np.multiply(v, reset, out=v)
+            np.add(v, xf[t], out=v)
+        if smooth:
+            sf[t] = surrogate_primitive(v - theta, alpha)
+        else:
+            np.greater_equal(v, theta, out=sf[t])
+
+    # surrogate_grad(v) with its constants folded: halving is exact, so
+    # (pi*alpha*v)/2 == (pi*alpha/2)*v bitwise.
+    peak, slope = alpha / 2.0, np.pi * alpha / 2.0
 
     def backward(g):
+        # Per timestep, in the order of the unfused expressions
+        #   a_spike = g[t] - a_next * (leak * V[t])
+        #   a_v = a_spike * surrogate_grad(V[t] - theta)
+        #         + a_next * (leak * (1 - S[t]))
+        # with a_next = dL/dV[t+1], written into rows of d_in and two
+        # scratch rows.  At the last step a_next is zero.
         d_in = np.empty_like(x)
-        a_next = np.zeros_like(x[0])  # dL/dV[t+1]
+        df = d_in.reshape(steps, -1)
+        gf = g.reshape(steps, -1)
+        a_spike = np.empty_like(xf[0])
+        tmp = np.empty_like(xf[0])
         for t in range(steps - 1, -1, -1):
-            a_spike = g[t] - a_next * (leak * membrane[t])
-            local = surrogate_grad(membrane[t] - theta, alpha)
-            a_v = a_spike * local + a_next * (leak * (1.0 - spikes[t]))
-            d_in[t] = a_v
-            a_next = a_v
+            a_v, v = df[t], vf[t]
+            np.subtract(v, theta, out=tmp)
+            np.multiply(tmp, slope, out=tmp)
+            np.square(tmp, out=tmp)
+            np.add(tmp, 1.0, out=tmp)
+            np.divide(peak, tmp, out=tmp)
+            if t == steps - 1:
+                np.multiply(gf[t], tmp, out=a_v)
+                continue
+            a_next = df[t + 1]
+            np.multiply(v, leak, out=a_spike)
+            np.multiply(a_next, a_spike, out=a_spike)
+            np.subtract(gf[t], a_spike, out=a_spike)
+            np.multiply(a_spike, tmp, out=a_spike)
+            np.subtract(1.0, sf[t], out=tmp)
+            np.multiply(tmp, leak, out=tmp)
+            np.multiply(a_next, tmp, out=tmp)
+            np.add(a_spike, tmp, out=a_v)
         return (d_in,)
 
     out = current.tape.record("lif", (current,), spikes, backward)

@@ -152,28 +152,45 @@ def denoise(scores: AttentionScores, heads: list[NsadHead], *,
             f"score outside [0, {d}]: min {lo}, max {hi} "
             f"(upstream query/key activations are not binary spikes)")
 
+    # Integral scores take one of d + 1 values per head, so both the table
+    # read and the backward work on flat indices s + h*(d + 1) into the
+    # [H, d + 1] grid of (head, score) pairs.
+    s_int = s_arr.astype(np.int64)
+    integral = np.array_equal(s_int, s_arr)
+    if integral:
+        s_int += (np.arange(len(heads)) * (d + 1)).reshape(-1, 1, 1)
     if continuous:
         out = np.stack([f_eval(s_arr[:, :, h], head, "train")
                         for h, head in enumerate(heads)], axis=2)
         out = out.astype(s_arr.dtype)
+    elif not integral:
+        raise ScoreRangeError(
+            "non-integer attention score on the quantized path "
+            "(upstream query/key activations are not binary spikes)")
     else:
-        s_int = s_arr.astype(np.int64)
-        if not np.array_equal(s_int, s_arr):
-            raise ScoreRangeError(
-                "non-integer attention score on the quantized path "
-                "(upstream query/key activations are not binary spikes)")
-        out = np.stack([head.table[s_int[:, :, h]] for h, head in enumerate(heads)],
-                       axis=2).astype(s_arr.dtype)
+        tables = np.stack([head.table for head in heads]).astype(s_arr.dtype)
+        out = tables.reshape(-1).take(s_int)
 
     frozen = [head.param_floats() for head in heads]
+    grid = np.arange(d + 1, dtype=np.float64)
 
     def backward(g):
         grads: list[np.ndarray | None] = [None]  # scores: integer counts, no gradient
+        if integral:
+            # Sum the upstream gradient per (head, score), then weight each
+            # sum by the partials at that score: d + 1 evaluations per head
+            # instead of one per score entry.
+            hist = np.bincount(s_int.reshape(-1), weights=g.reshape(-1),
+                               minlength=len(heads) * (d + 1)).reshape(len(heads), d + 1)
         for h, params in enumerate(frozen):
-            parts = _train_partials(s_arr[:, :, h].astype(np.float64), params, GATE_TEMP)
-            gh = g[:, :, h]
-            for name in NsadHead.PARAM_NAMES:
-                grads.append(np.asarray(np.sum(gh * parts[name]), dtype=s_arr.dtype))
+            if integral:
+                parts = _train_partials(grid, params, GATE_TEMP)
+                sums = [hist[h] @ parts[name] for name in NsadHead.PARAM_NAMES]
+            else:
+                parts = _train_partials(s_arr[:, :, h].astype(np.float64), params, GATE_TEMP)
+                gh = g[:, :, h]
+                sums = [np.sum(gh * parts[name]) for name in NsadHead.PARAM_NAMES]
+            grads.extend(np.asarray(v, dtype=s_arr.dtype) for v in sums)
         return grads
 
     inputs = [s_dt]

@@ -15,6 +15,7 @@ reproducible in a single-threaded run.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +26,38 @@ from .errors import AxisError, DimensionError, LabelError
 MAX_RANK = 5
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# glibc mallopt parameters and the values set below.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's ceiling for this setting on 64-bit
+_TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def _keep_freed_heap() -> bool:
+    """Keep freed arrays' pages in the heap for reuse by the next step.
+
+    A training step frees and reallocates the same few hundred arrays of
+    up to a few MiB.  By default glibc serves the larger ones with mmap
+    (its threshold adapts upward only as far as the largest block freed so
+    far) and trims the heap top after frees, so every step faults the same
+    pages back in from the kernel.  Fixing the mmap threshold at 32 MiB and
+    the trim threshold at 1 GiB keeps those pages mapped.  Both are needed:
+    setting the trim threshold alone also freezes the mmap threshold at its
+    128 KiB default, which sends every larger array to mmap.
+    Returns False, changing nothing, where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+
+
+HEAP_KEPT = _keep_freed_heap()
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
@@ -120,8 +153,11 @@ class DiffTensor:
                 f"gradient shape {g.shape} does not match value shape {self.value.data.shape}"
             )
         if self.grad is None:
-            self.grad = Tensor(np.zeros_like(self.value.data))
-        self.grad.data += g
+            # One owned copy in the value's dtype: the caller may reuse or
+            # mutate ``g``, and one array may be the gradient of two inputs.
+            self.grad = Tensor(np.array(g, dtype=self.value.data.dtype, order="C"))
+        else:
+            self.grad.data += g
 
     def zero_grad(self) -> None:
         self.grad = None

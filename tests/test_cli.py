@@ -199,6 +199,19 @@ def test_train_unknown_config_key_is_a_config_error(workdir, tiny_data, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["embed_dim=abc", "seed=abc", "heads=0"])
+def test_train_bad_config_value_is_one_line_config_error(workdir, tiny_data, capsys, line):
+    cfg = workdir / "bad_value.cfg"
+    cfg.write_text(f"{line}\n")
+    rc = cli.main(["train", "--data", str(tiny_data),
+                   "--out", str(workdir / "bad_value.ckpt"), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ds2ta: configuration error:")
+    assert len(err.splitlines()) == 1
+    assert line.split("=")[0] in err
+
+
 # --------------------------------------------------- eval / analyze / export
 
 

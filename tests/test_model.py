@@ -55,6 +55,15 @@ def test_config_validation():
         ModelConfig(tau_m=0.5).validate()
 
 
+@pytest.mark.parametrize("key", ["heads", "embed_dim", "patch_size", "img_size",
+                                 "in_channels"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_config_rejects_nonpositive_sizes(key, value):
+    # Checked before any modulo by these sizes.
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        ModelConfig(**{key: value}).validate()
+
+
 def test_config_text_roundtrip():
     cfg = micro_config(nsad_enabled=False, tau_init=0.75, attention_mode="spatial_only")
     text = config_to_text(cfg)
@@ -75,6 +84,14 @@ def test_config_text_parsing_rules():
         config_from_dict({"not_a_key": "1"})
     with pytest.raises(ConfigError):
         config_from_dict({"nsad_enabled": "yes"})
+
+
+@pytest.mark.parametrize("key,raw", [("embed_dim", "abc"), ("heads", "2.5"),
+                                     ("tau_init", "fast"), ("seed", "")])
+def test_config_text_bad_number_names_key_and_value(key, raw):
+    with pytest.raises(ConfigError) as exc:
+        config_from_text(f"{key}={raw}\n")
+    assert key in str(exc.value) and repr(raw) in str(exc.value)
 
 
 # ----------------------------------------------------------------- patchify

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ds2ta.errors import ConfigError, ScoreRangeError
-from ds2ta.nsad import (GATE_TEMP, NsadHead, build_table, denoise,
-                        denoise_op_count, f_eval, g_eval)
+from ds2ta.nsad import (GATE_TEMP, NsadHead, _train_partials, build_table,
+                        denoise, denoise_op_count, f_eval, g_eval)
 from ds2ta.tasa import AttentionScores
 from ds2ta.tensorcore import Tape, make_rng, reduce_mean, round_half_away
 
@@ -203,6 +203,33 @@ def test_table_and_continuous_paths_share_one_backward():
     g_table, g_cont = grads(False), grads(True)
     for name in NsadHead.PARAM_NAMES:
         assert g_table[name] == g_cont[name], name
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_score_histogram_backward_matches_per_entry_sum(continuous):
+    """The backward sums the upstream gradient per (head, score) before
+    weighting it by the partials; that must equal weighting every entry."""
+    rng = make_rng(8)
+    d, n_heads = 8, 3
+    tape = Tape()
+    heads = [NsadHead(tape, d, u_init=1.0 + h) for h in range(n_heads)]
+    heads[1].set_params(b=0.1, c=0.5, dw=1.5)
+    heads[2].set_params(a=0.7, b=-0.05, c=2.0, dw=-0.8, e=3.0)
+    raw = rng.integers(0, d + 1, size=(3, 2, n_heads, 5, 5)).astype(np.float64)
+    out = denoise(_scores(raw, d, tape), heads, continuous=continuous)
+    g = rng.normal(0.0, 1.0, size=raw.shape)
+    grads = tape.nodes[-1].backward(g)
+    assert grads[0] is None
+    for h, head in enumerate(heads):
+        parts = _train_partials(raw[:, :, h], head.param_floats(), GATE_TEMP)
+        for i, name in enumerate(NsadHead.PARAM_NAMES):
+            terms = g[:, :, h] * parts[name]
+            want = float(np.sum(terms))
+            got = float(grads[1 + 6 * h + i])
+            # Relative to the magnitude of the terms, since they cancel.
+            assert abs(got - want) <= 1e-12 * float(np.sum(np.abs(terms))), \
+                (h, name, got, want)
+    assert out.value.data.shape == raw.shape
 
 
 def test_denoiser_parameter_gradients_match_finite_differences():

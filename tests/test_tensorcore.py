@@ -357,6 +357,37 @@ def test_accumulate_grad_shape_check():
         leaf.accumulate_grad(np.ones(4))
 
 
+def test_first_gradient_is_an_owned_copy():
+    tape = Tape()
+    leaf = tape.leaf(np.zeros(3))
+    g = np.array([1.0, -2.0, 3.0])
+    leaf.accumulate_grad(g)
+    g[:] = 7.0
+    assert np.array_equal(leaf.grad.data, [1.0, -2.0, 3.0])
+    leaf.accumulate_grad(g)
+    assert np.array_equal(leaf.grad.data, [8.0, 5.0, 10.0])
+
+
+def test_shared_gradient_array_gives_independent_gradients():
+    # add's backward returns the same array for both operands.
+    tape = Tape()
+    a = tape.leaf(np.array([1.0, 2.0]))
+    b = tape.leaf(np.array([3.0, 4.0]))
+    tape.backward(reduce_sum(add(a, b)))
+    assert np.array_equal(a.grad.data, [1.0, 1.0])
+    assert a.grad.data is not b.grad.data
+    a.grad.data *= 5.0
+    assert np.array_equal(b.grad.data, [1.0, 1.0])
+
+
+def test_float32_leaf_keeps_float32_gradient():
+    tape = Tape()
+    leaf = tape.leaf(np.ones(3, dtype=np.float32))
+    leaf.accumulate_grad(np.full(3, 0.1))
+    assert leaf.grad.data.dtype == np.float32
+    assert np.array_equal(leaf.grad.data, np.full(3, 0.1, dtype=np.float32))
+
+
 def test_values_and_gradients_are_deterministic():
     def run():
         rng = make_rng(21)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from ds2ta.data import gen_temporal_order, time_major
 from ds2ta.errors import ConfigError, InputError, NumericError
 from ds2ta.model import ModelConfig, SpikingTransformer, load_checkpoint
-from ds2ta.tensorcore import Tape
+from ds2ta import tensorcore
+from ds2ta.tensorcore import Tape, cross_entropy_logits
 from ds2ta.train import (AdamW, TrainConfig, apply_projections,
                          clip_global_norm, cosine_lr, evaluate, train)
 
@@ -237,3 +239,39 @@ def test_evaluate_rejects_empty_dataset():
     ds.frames, ds.labels = ds.frames[:0], ds.labels[:0]
     with pytest.raises(InputError):
         evaluate(micro_model(), ds)
+
+
+# ------------------------------------------------------------ page faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not tensorcore.HEAP_KEPT,
+                    reason="needs Linux and glibc's mallopt")
+def test_training_steps_reuse_heap_pages():
+    """Steady-state steps take their arrays from pages already mapped.
+
+    Without the allocator setting in ``tensorcore`` every default-config
+    step faults in 15k-52k freshly trimmed or mmapped pages.
+    """
+    model = SpikingTransformer(ModelConfig())
+    data = gen_temporal_order(4 * 32, seed=3)
+    opt = AdamW(model.parameters(), weight_decay=1e-4, lr_mult=10.0)
+
+    def step(i):
+        frames = time_major(data.frames[32 * i:32 * (i + 1)])
+        loss = cross_entropy_logits(model.forward(frames), data.labels[32 * i:32 * (i + 1)])
+        model.zero_grads()
+        model.tape.backward(loss)
+        clip_global_norm(opt.named_params, 5.0)
+        opt.step(1e-3)
+        apply_projections(model)
+        model.rebuild_tables()
+        model.tape.clear()
+
+    import resource  # Unix only, like the allocator setting under test
+
+    step(0)  # warm-up: the heap grows to one step's working set
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(1, 4):
+        step(i)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, f"{faults} minor page faults in three steps"
