@@ -14,10 +14,10 @@ from .data import (EventDataset, gen_static_patterns, gen_temporal_order,
 from .model import (ModelConfig, SpikingTransformer, load_checkpoint,
                     save_checkpoint)
 from .neuron import LifParams, LifState, lif_forward, surrogate_grad, surrogate_primitive
-from .nsad import NsadHead, build_table, denoise, denoise_op_count, f_eval, g_eval
-from .tasa import (AttentionScores, TasaConfig, attention_scores, decay_factors,
-                   explicit_sta_oracle, shift_decay_apply, tasa_project,
-                   tau_round_ste, temporal_filter)
+from .nsad import NsadHead, build_table, denoise, f_eval, g_eval
+from .tasa import (AttentionScores, attention_scores, decay_factors,
+                   explicit_sta_oracle, shift_decay_apply, tau_round_ste,
+                   temporal_filter)
 from .tensorcore import (DiffTensor, GradCheckReport, Tape, Tensor, add, bias_add,
                          check_gradients, cross_entropy_logits, make_rng, matmul,
                          mul, reduce_mean, reduce_sum, reshape, round_half_away,

@@ -11,7 +11,8 @@ non-negative integers rather than strictly binary.
 
 Checkpoints are a flat little-endian binary container: magic ``DS2T``,
 format version, a canonical-text config blob, then named tensor records.
-A round trip through disk reproduces forward outputs bitwise.
+Denoiser tables are not stored; loading rebuilds them from the head
+scalars.  A round trip through disk reproduces forward outputs bitwise.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .tensorcore import (DiffTensor, Tape, add, bias_add, make_rng, matmul,
                          reduce_mean)
 
 CKPT_MAGIC = b"DS2T"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 _DTYPE_CODES: dict[int, np.dtype] = {
     0: np.dtype("<f8"),
@@ -41,7 +42,6 @@ _DTYPE_CODES: dict[int, np.dtype] = {
 _CODE_FOR_KIND = {"f8": 0, "f4": 1, "i8": 2}
 
 ATTENTION_MODES = ("tasa", "spatial_only")
-NSAD_FORWARD_MODES = ("table", "continuous")
 
 # Projection init: normal with std INIT_GAIN / sqrt(fan_in).  Inputs are
 # sparse binary spike trains, so plain 1/sqrt(fan_in) leaves pre-activations
@@ -68,7 +68,6 @@ class ModelConfig:
     surrogate_alpha: float = 2.0
     attention_mode: str = "tasa"
     nsad_enabled: bool = True
-    nsad_train_forward: str = "table"
     img_size: int = 16
     patch_size: int = 4
     in_channels: int = 1
@@ -107,9 +106,6 @@ class ModelConfig:
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigError(f"attention_mode must be one of {ATTENTION_MODES}, "
                               f"got {self.attention_mode!r}")
-        if self.nsad_train_forward not in NSAD_FORWARD_MODES:
-            raise ConfigError(f"nsad_train_forward must be one of {NSAD_FORWARD_MODES}, "
-                              f"got {self.nsad_train_forward!r}")
         # Construct LifParams for its own validation side effects.
         LifParams(self.tau_m, self.theta, self.surrogate_alpha)
 
@@ -288,8 +284,7 @@ class SpikingTransformer:
         v = lif_forward(matmul(f, blk.wv), lifp, smooth=smooth)
         sc = attention_scores(q, k, cfg.heads)
         if cfg.nsad_enabled:
-            continuous = smooth or cfg.nsad_train_forward == "continuous"
-            att = denoise(sc, blk.heads, continuous=continuous)
+            att = denoise(sc, blk.heads, continuous=smooth)
         else:
             att = sc.scores
         ctx = merge_heads(matmul(att, split_heads(v, cfg.heads)))
@@ -315,12 +310,6 @@ class SpikingTransformer:
         return values
 
 
-def _table_records(model: SpikingTransformer):
-    for l, blk in enumerate(model.blocks):
-        for h, head in enumerate(blk.heads):
-            yield f"block{l}.attn.nsad{h}.table", head.table
-
-
 def save_checkpoint(model: SpikingTransformer, path, optimizer=None) -> None:
     """Write config and all named tensors; see module docstring for layout."""
     chunks = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
@@ -342,8 +331,6 @@ def save_checkpoint(model: SpikingTransformer, path, optimizer=None) -> None:
 
     for name, p in model.parameters():
         record(name, p.value.data)
-    for name, table in _table_records(model):
-        record(name, table)
     if optimizer is not None:
         for name, arr in optimizer.state_tensors():
             record(name, arr)
@@ -379,9 +366,10 @@ class _Reader:
 def load_checkpoint(path, with_optimizer: bool = False):
     """Rebuild a model from disk; bitwise-faithful to the saved tensors.
 
-    Raises :class:`FormatError` (with the byte offset) on a bad magic,
-    unsupported version, truncation, or any unknown/mismatched record; no
-    partially restored model is ever returned.
+    Denoiser tables are rebuilt from the loaded head scalars.  Raises
+    :class:`FormatError` (with the byte offset) on a bad magic, unsupported
+    version, truncation, a config blob that is not UTF-8, or any unknown,
+    duplicate or mismatched record; no partially restored model is ever returned.
     """
     rdr = _Reader(Path(path).read_bytes())
     magic = rdr.take(4, "magic")
@@ -392,15 +380,21 @@ def load_checkpoint(path, with_optimizer: bool = False):
         raise FormatError(f"unsupported checkpoint version {version}; "
                           f"this reader supports {CKPT_VERSION}", offset=4)
     blob = rdr.take(rdr.u32("config length"), "config blob")
-    cfg = config_from_text(blob.decode("utf-8"))
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config blob is not valid UTF-8 ({exc.reason} at byte {exc.start})",
+                          offset=rdr.pos - len(blob)) from None
+    cfg = config_from_text(text)
     model = SpikingTransformer(cfg)
     params = dict(model.parameters())
-    tables = dict(_table_records(model))
     opt_state: dict[str, np.ndarray] = {}
     seen: set[str] = set()
     while not rdr.at_end:
         start = rdr.pos
         name = rdr.take(rdr.u16("name length"), "name").decode("utf-8")
+        if name in seen:
+            raise FormatError(f"duplicate tensor record {name!r}", offset=start)
         code = rdr.u8("dtype code")
         if code not in _DTYPE_CODES:
             raise FormatError(f"unknown dtype code {code} for tensor {name}", offset=start)
@@ -415,8 +409,6 @@ def load_checkpoint(path, with_optimizer: bool = False):
                 raise FormatError(f"tensor {name} has shape {arr.shape}, model expects "
                                   f"{params[name].value.data.shape}", offset=start)
             params[name].value.data[...] = arr
-        elif name in tables:
-            tables[name][...] = arr
         elif name.startswith("opt."):
             opt_state[name] = arr
         else:
@@ -426,9 +418,7 @@ def load_checkpoint(path, with_optimizer: bool = False):
     if missing:
         raise FormatError(f"checkpoint is missing tensors: {', '.join(missing)}",
                           offset=rdr.pos)
-    if set(tables) - seen:
-        # Tables are derivable from the continuous parameters just loaded.
-        model.rebuild_tables()
+    model.rebuild_tables()
     if with_optimizer:
         return model, opt_state
     return model

@@ -198,7 +198,3 @@ def denoise(scores: AttentionScores, heads: list[NsadHead], *,
         inputs.extend(dt for _, dt in head.named_params())
     return s_dt.tape.record("denoise", tuple(inputs), out, backward)
 
-
-def denoise_op_count(n_tokens: int, heads: int, timesteps: int) -> int:
-    """Table lookups per sample: one per score entry, T * H * N^2."""
-    return timesteps * heads * n_tokens * n_tokens

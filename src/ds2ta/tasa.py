@@ -29,19 +29,6 @@ from .tensorcore import DiffTensor, matmul, reshape, round_half_away, transpose
 LN2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
-class TasaConfig:
-    t_aw: int = 3           # attention window length, in timesteps
-    tau_init: float = 1.0   # continuous decay exponent before rounding
-    tau_max: int = 6
-
-    def __post_init__(self):
-        if self.t_aw < 1:
-            raise ConfigError(f"t_aw must be >= 1, got {self.t_aw}")
-        if self.tau_max < 0:
-            raise ConfigError(f"tau_max must be >= 0, got {self.tau_max}")
-
-
 def decay_factors(tau: float, count: int) -> np.ndarray:
     """[2^0, 2^-tau, 2^-2*tau, ...] with ``count`` entries."""
     return 2.0 ** (-float(tau) * np.arange(count, dtype=np.float64))
@@ -107,31 +94,22 @@ def tau_round_ste(tau_cont: DiffTensor, tau_max: int) -> DiffTensor:
                                 np.asarray(clamped, dtype=tau_cont.value.dtype), backward)
 
 
-def tasa_project(s_prev: DiffTensor, weight: DiffTensor, cfg: TasaConfig, tau=None) -> DiffTensor:
-    """Filter the spike train, then apply the shared projection weights."""
-    if tau is None:
-        tau = int(min(max(round_half_away(cfg.tau_init), 0.0), float(cfg.tau_max)))
-    return matmul(temporal_filter(s_prev, cfg.t_aw, tau), weight)
-
-
-def explicit_sta_oracle(s_prev: np.ndarray, weight: np.ndarray, cfg: TasaConfig,
-                        tau=None) -> np.ndarray:
+def explicit_sta_oracle(s_prev: np.ndarray, weight: np.ndarray, t_aw: int, tau) -> np.ndarray:
     """Literal windowed double sum with materialized per-lag weight replicas.
 
-    Test oracle for :func:`tasa_project`: small shapes only, no tape.  Each
-    lag uses its own weight matrix W * 2^(-tau*lag), so this path never
-    reuses the factored filter-then-project shortcut.
+    Test oracle for the filter-then-project path of the encoder block:
+    small shapes only, no tape.  ``tau`` is the decay exponent after
+    rounding.  Each lag uses its own weight matrix W * 2^(-tau*lag), so
+    this path never reuses the factored filter-then-project shortcut.
     """
-    if tau is None:
-        tau = int(min(max(round_half_away(cfg.tau_init), 0.0), float(cfg.tau_max)))
     tau = _tau_value(tau)
     s_prev = np.asarray(s_prev, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.float64)
     steps = s_prev.shape[0]
-    replicas = [weight * f for f in decay_factors(tau, cfg.t_aw)]
+    replicas = [weight * f for f in decay_factors(tau, t_aw)]
     out = np.zeros(s_prev.shape[:-1] + (weight.shape[1],), dtype=np.float64)
     for t in range(steps):
-        for lag in range(min(cfg.t_aw, t + 1)):
+        for lag in range(min(t_aw, t + 1)):
             out[t] += s_prev[t - lag] @ replicas[lag]
     return out
 

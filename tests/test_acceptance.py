@@ -11,18 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from ds2ta import selfcheck
 from ds2ta.data import gen_temporal_order, read_evtb, write_evtb
 from ds2ta.errors import FormatError
 from ds2ta.model import (ModelConfig, SpikingTransformer, load_checkpoint,
                          save_checkpoint)
-from ds2ta.neuron import LifParams, lif_forward
-from ds2ta.nsad import NsadHead, denoise, f_eval
-from ds2ta.tasa import (AttentionScores, TasaConfig, explicit_sta_oracle,
-                        shift_decay_apply, tasa_project, temporal_filter)
-from ds2ta.tensorcore import (Tape, add, bias_add, check_gradients,
-                              cross_entropy_logits, make_rng, matmul, mul,
-                              reduce_mean, reduce_sum, reshape,
-                              round_half_away, scale, sub, transpose)
+from ds2ta.nsad import NsadHead, f_eval
+from ds2ta.tensorcore import Tape, make_rng, round_half_away
 from ds2ta.train import TrainConfig, evaluate, train
 
 
@@ -39,175 +34,30 @@ def binary_frames(cfg, batch, seed):
     return (rng.random(shape) < 0.25).astype(np.float64)
 
 
-# --------------------------------------------------------- 1 gradient suite
+# ------------------------------------------ 1-3 kernel checks (selfcheck)
+# The check bodies live in ds2ta.selfcheck, shared with `ds2ta selftest`.
 
 
 def test_criterion_1_gradient_suite(acceptance_report):
     t0 = time.monotonic()
-    rng = make_rng(31)
-    worst = 0.0
-
-    def check(fn, inputs, tol):
-        nonlocal worst
-        rep = check_gradients(fn, inputs, tol=tol)
-        assert rep.passed, f"max rel err {rep.max_rel_err:.3e} exceeds {tol}"
-        worst = max(worst, rep.max_rel_err)
-
-    # primitive operations at 1e-6
-    check(lambda a, b: reduce_mean(matmul(a, b)),
-          [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))], 1e-6)
-    check(lambda a, b: reduce_mean(mul(add(a, b), sub(a, scale(b, 1.7)))),
-          [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))], 1e-6)
-    check(lambda a, b: reduce_mean(bias_add(a, b)),
-          [rng.normal(size=(3, 4)), rng.normal(size=4)], 1e-6)
-    check(lambda x: reduce_mean(mul(reduce_sum(x, axes=(0, 2)),
-                                    reduce_sum(x, axes=(0, 2)))),
-          [rng.normal(size=(2, 3, 4))], 1e-6)
-    check(lambda x: reduce_mean(mul(transpose(reshape(x, (2, 6)), (1, 0)),
-                                    transpose(reshape(x, (2, 6)), (1, 0)))),
-          [rng.normal(size=(3, 4))], 1e-6)
-
-    # cross entropy involves exp/log, still far inside the 1e-4 budget
-    labels = rng.integers(0, 3, size=5)
-    check(lambda x: cross_entropy_logits(x, labels),
-          [rng.normal(size=(5, 3))], 1e-5)
-
-    # relaxed spike dynamics at 1e-4
-    check(lambda x: reduce_mean(lif_forward(x, LifParams(), smooth=True)),
-          [rng.normal(0.8, 0.5, size=(4, 2, 3))], 1e-4)
-
-    # decay filter, including the gradient of the real-valued exponent
-    check(lambda x, tau: reduce_mean(temporal_filter(x, 3, tau)),
-          [rng.random(size=(5, 2, 3)), np.asarray(1.7)], 1e-6)
-
-    worst = max(worst, _denoiser_param_fd(rng))
-    worst = max(worst, _full_model_fd(rng))
-
+    worst = selfcheck.gradient_suite()
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
     acceptance_report(f"ACCEPTANCE 1: PASS (gradient suite, worst rel err "
                       f"{worst:.2e}, {elapsed:.1f}s)")
 
 
-def _denoiser_param_fd(rng):
-    """Central differences on the six head scalars in the training relaxation."""
-    scores = rng.integers(0, 9, size=(2, 1, 1, 3, 3)).astype(np.float64)
-
-    def loss_with(head):
-        tape = Tape()
-        leaf = tape.leaf(scores)
-        out = reduce_mean(denoise(AttentionScores(leaf, 8), [head],
-                                  continuous=True))
-        return tape, out
-
-    tape = Tape()
-    head = NsadHead(tape, 8, u_init=2.0)
-    head.set_params(b=0.05, dw=1.0)
-    t, out = loss_with(head)
-    t.backward(out)
-    worst, eps = 0.0, 1e-6
-    for name, dt in head.named_params():
-        base = float(dt.value.data)
-        vals = []
-        for delta in (eps, -eps):
-            head.set_params(**{name: base + delta})
-            vals.append(float(loss_with(head)[1].value.data))
-        head.set_params(**{name: base})
-        numeric = (vals[0] - vals[1]) / (2 * eps)
-        analytic = float(dt.grad.data)
-        err = abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic))
-        assert err < 1e-5, f"denoiser d/d{name} rel err {err:.3e}"
-        worst = max(worst, err)
-    return worst
-
-
-def _full_model_fd(rng):
-    """End-to-end check through the relaxed network on a micro geometry.
-
-    The exponent rounding and the denoiser's score gate are straight
-    through estimators whose forward is locally flat, so they cannot
-    match finite differences by construction; their continuous
-    counterparts are checked above.  Here the denoiser is off and the
-    rounded exponent is left untouched, and every remaining parameter
-    path must agree with central differences.
-    """
-    cfg = micro_config(t_aw=2, nsad_enabled=False)
-    model = SpikingTransformer(cfg)
-    frames = binary_frames(cfg, 2, seed=5)
-    labels = np.array([0, 1])
-
-    def loss():
-        model.tape.clear()
-        return cross_entropy_logits(model.forward(frames, smooth=True), labels)
-
-    out = loss()
-    model.zero_grads()
-    model.tape.backward(out)
-    # the denoiser scalars are unreachable with the denoiser off, and the
-    # rounded exponent is the straight-through case excluded above
-    names = [n for n in model.params
-             if not n.endswith(".tau") and ".nsad" not in n]
-    grads = {name: model.params[name].grad.data.copy() for name in names}
-
-    worst, eps = 0.0, 1e-5
-    for name in names:
-        p = model.params[name]
-        flat_index = int(rng.integers(p.value.data.size))
-        idx = np.unravel_index(flat_index, p.value.data.shape)
-        saved = p.value.data[idx]
-        vals = []
-        for delta in (eps, -eps):
-            p.value.data[idx] = saved + delta
-            vals.append(float(loss().value.data))
-        p.value.data[idx] = saved
-        numeric = (vals[0] - vals[1]) / (2 * eps)
-        analytic = float(grads[name][idx])
-        err = abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic))
-        assert err < 1e-4, f"model d/d{name}[{idx}] rel err {err:.3e}"
-        worst = max(worst, err)
-    return worst
-
-
-# ---------------------------------------------- 2 windowed projection oracle
-
-
 def test_criterion_2_replica_equivalence(acceptance_report):
     t0 = time.monotonic()
-    rng = make_rng(37)
-    worst = 0.0
-    for trial in range(100):
-        t = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 9))
-        d_in = int(rng.integers(1, 17))
-        d_out = int(rng.integers(1, 17))
-        tau = float(rng.uniform(0.0, 4.0)) if trial % 2 else float(rng.integers(0, 5))
-        cfg = TasaConfig(t_aw=int(rng.integers(1, 5)), tau_init=tau)
-        s = (rng.random((t, n, d_in)) < 0.3).astype(np.float64)
-        w = rng.normal(size=(d_in, d_out))
-        tape = Tape()
-        fast = tasa_project(tape.leaf(s), tape.leaf(w), cfg).value.data
-        slow = explicit_sta_oracle(s, w, cfg)
-        diff = float(np.max(np.abs(fast - slow)))
-        assert diff <= 1e-12, f"trial {trial}: max diff {diff:.3e}"
-        worst = max(worst, diff)
+    worst = selfcheck.replica_sweep()
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"oracle sweep took {elapsed:.1f}s"
     acceptance_report(f"ACCEPTANCE 2: PASS (100 random configs, max abs diff "
                       f"{worst:.2e}, {elapsed:.1f}s)")
 
 
-# ------------------------------------------------------- 3 shift exactness
-
-
 def test_criterion_3_shift_exactness(acceptance_report):
-    acc = np.arange(2 ** 10 + 1, dtype=np.int64)
-    combos = 0
-    for tau in range(7):
-        for delta in range(4):
-            got = shift_decay_apply(acc, tau, delta)
-            want = acc.astype(np.float64) * 2.0 ** (-tau * delta)
-            assert np.array_equal(got, want), f"tau={tau} delta={delta}"
-            combos += 1
+    combos = selfcheck.shift_sweep()
     acceptance_report(f"ACCEPTANCE 3: PASS (shift decay bitwise over "
                       f"{combos} tau/delta combinations, accumulations to 2^10)")
 

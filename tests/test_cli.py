@@ -240,6 +240,19 @@ def test_eval_corrupt_magic_is_a_data_error(ckpt, tiny_data, workdir, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_eval_config_blob_not_utf8_is_a_data_error(ckpt, tiny_data, workdir, capsys):
+    bad = workdir / "bad_blob.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    raw[12] = 0xFF  # first byte of the config blob, after magic, version, length
+    bad.write_bytes(bytes(raw))
+    rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(tiny_data)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "config blob is not valid UTF-8" in err[0]
+    assert "byte offset 12" in err[0]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_eval_nonfinite_weights_is_a_numeric_error(ckpt, tiny_data, workdir, capsys):
     model = load_checkpoint(ckpt)
@@ -289,3 +302,16 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_broken_kernel(capsys, monkeypatch):
+    from ds2ta import selfcheck
+    monkeypatch.setattr(selfcheck, "shift_decay_apply",
+                        lambda acc, tau, delta: acc.astype(np.float64))
+    rc = cli.main(["selftest"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert "fixed-point shift" in fails[0]
+    assert "1 check(s) failed" in out

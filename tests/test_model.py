@@ -46,7 +46,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(attention_mode="dense").validate()
     with pytest.raises(ConfigError):
-        ModelConfig(nsad_train_forward="sometimes").validate()
+        ModelConfig(tau_max=-1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(t_aw=0).validate()
     with pytest.raises(ConfigError):
@@ -283,12 +283,13 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     assert err.value.offset == 0
 
 
-def test_checkpoint_rejects_unknown_version(tmp_path):
+@pytest.mark.parametrize("version", [1, CKPT_VERSION + 9])
+def test_checkpoint_rejects_unknown_version(tmp_path, version):
     model = SpikingTransformer(micro_config())
     path = tmp_path / "bad_version.ckpt"
     save_checkpoint(model, path)
     buf = bytearray(path.read_bytes())
-    struct.pack_into("<I", buf, 4, CKPT_VERSION + 9)
+    struct.pack_into("<I", buf, 4, version)
     path.write_bytes(bytes(buf))
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
@@ -328,6 +329,19 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_duplicate_record(tmp_path):
+    model = SpikingTransformer(micro_config())
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(model, path)
+    buf = path.read_bytes()
+    _, records = _records(buf)
+    second = next(raw for name, _, _, _, raw in records if name == "head.b")
+    path.write_bytes(buf + second)
+    with pytest.raises(FormatError, match="duplicate tensor record 'head.b'") as err:
+        load_checkpoint(path)
+    assert err.value.offset == len(buf)
+
+
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
     model = SpikingTransformer(micro_config())
     path = tmp_path / "reshaped.ckpt"
@@ -352,11 +366,12 @@ def test_checkpoint_rebuilds_missing_tables(tmp_path):
     model.blocks[0].heads[0].set_params(a=1.7, u=2.5)
     path = tmp_path / "no_tables.ckpt"
     save_checkpoint(model, path)
-    header, records = _records(path.read_bytes())
-    kept = b"".join(raw for name, _, _, _, raw in records if not name.endswith(".table"))
-    path.write_bytes(header + kept)
+    _, records = _records(path.read_bytes())
+    assert not [name for name, _, _, _, _ in records if name.endswith(".table")]
     again = load_checkpoint(path)
     head = again.blocks[0].heads[0]
+    assert head.param_floats() == model.blocks[0].heads[0].param_floats()
+    assert head.param_floats() != SpikingTransformer(cfg).blocks[0].heads[0].param_floats()
     assert np.array_equal(head.table, build_table(head, cfg.head_dim))
     assert np.array_equal(head.table, model.blocks[0].heads[0].table)
 

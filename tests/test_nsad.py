@@ -5,7 +5,7 @@ import pytest
 
 from ds2ta.errors import ConfigError, ScoreRangeError
 from ds2ta.nsad import (GATE_TEMP, NsadHead, _train_partials, build_table,
-                        denoise, denoise_op_count, f_eval, g_eval)
+                        denoise, f_eval, g_eval)
 from ds2ta.tasa import AttentionScores
 from ds2ta.tensorcore import Tape, make_rng, reduce_mean, round_half_away
 
@@ -256,11 +256,6 @@ def test_denoiser_parameter_gradients_match_finite_differences():
         numeric = (samples[0] - samples[1]) / (2 * eps)
         analytic = float(dt.grad.data)
         assert abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic)) < 1e-5, name
-
-
-def test_lookup_count():
-    assert denoise_op_count(n_tokens=16, heads=4, timesteps=8) == 8192
-    assert denoise_op_count(n_tokens=3, heads=2, timesteps=5) == 5 * 2 * 9
 
 
 def test_table_storage_for_wide_configuration():
