@@ -9,10 +9,15 @@ two-layer LIF MLP with its own spike residual.  Residual adds are plain
 elementwise sums of spike trains, so activations between blocks are small
 non-negative integers rather than strictly binary.
 
+The model trains and infers in float32 by default; ``dtype=np.float64``
+builds it in double precision, which the end-to-end gradient check uses.
+
 Checkpoints are a flat little-endian binary container: magic ``DS2T``,
 format version, a canonical-text config blob, then named tensor records.
-Denoiser tables are not stored; loading rebuilds them from the head
-scalars.  A round trip through disk reproduces forward outputs bitwise.
+Each record carries its dtype code, and a loaded model takes the dtype of
+its first record.  Denoiser tables are not stored; loading rebuilds
+them from the head scalars.  A round trip through disk reproduces forward
+outputs bitwise.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .neuron import LifParams, lif_forward
 from .nsad import NsadHead, denoise
 from .tasa import (AttentionScores, attention_scores, merge_heads, split_heads,
                    tau_round_ste, temporal_filter)
-from .tensorcore import (DiffTensor, Tape, add, bias_add, make_rng, matmul,
-                         reduce_mean)
+from .tensorcore import (FLOAT_DTYPES, DiffTensor, Tape, add, bias_add, make_rng,
+                         matmul, reduce_mean)
 
 CKPT_MAGIC = b"DS2T"
 CKPT_VERSION = 2
@@ -197,11 +202,19 @@ class EncoderBlock:
 
 
 class SpikingTransformer:
-    """The assembled network; owns its parameters and their tape."""
+    """The assembled network; owns its parameters and their tape.
 
-    def __init__(self, cfg: ModelConfig):
+    Every parameter, and every value the forward pass computes, has
+    ``dtype`` (float32 or float64).  Initial values are drawn in float64
+    and then cast, so both precisions start from the same draws.
+    """
+
+    def __init__(self, cfg: ModelConfig, dtype=np.float32):
         cfg.validate()
         self.cfg = cfg
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in FLOAT_DTYPES:
+            raise ConfigError(f"model dtype must be float32 or float64, got {self.dtype}")
         self.tape = Tape()
         self.params: dict[str, DiffTensor] = {}
         rng = make_rng(cfg.seed)
@@ -210,7 +223,7 @@ class SpikingTransformer:
 
         def weight(name, fan_in, fan_out):
             data = rng.normal(0.0, INIT_GAIN / np.sqrt(fan_in), size=(fan_in, fan_out))
-            self.params[name] = self.tape.leaf(data)
+            self.params[name] = self.tape.leaf(data, dtype=self.dtype)
             return self.params[name]
 
         weight("embed.w", cfg.patch_values, d_model)
@@ -223,17 +236,18 @@ class SpikingTransformer:
                 wo=weight(f"block{l}.attn.wo", d_model, d_model),
                 w1=weight(f"block{l}.mlp.w1", d_model, hidden),
                 w2=weight(f"block{l}.mlp.w2", hidden, d_model),
-                tau=self.tape.leaf(np.asarray(float(cfg.tau_init))),
+                tau=self.tape.leaf(np.asarray(float(cfg.tau_init)), dtype=self.dtype),
             )
             self.params[f"block{l}.attn.tau"] = blk.tau
             for h in range(cfg.heads):
-                head = NsadHead(self.tape, cfg.head_dim, u_init=cfg.u_init)
+                head = NsadHead(self.tape, cfg.head_dim, u_init=cfg.u_init,
+                                dtype=self.dtype)
                 blk.heads.append(head)
                 for pname, dt in head.named_params():
                     self.params[f"block{l}.attn.nsad{h}.{pname}"] = dt
             self.blocks.append(blk)
         weight("head.w", d_model, cfg.n_classes)
-        self.params["head.b"] = self.tape.leaf(np.zeros(cfg.n_classes))
+        self.params["head.b"] = self.tape.leaf(np.zeros(cfg.n_classes, dtype=self.dtype))
 
     def parameters(self):
         return self.params.items()
@@ -264,7 +278,7 @@ class SpikingTransformer:
                               f"configured geometry {cfg.timesteps}x{cfg.in_channels}"
                               f"x{cfg.img_size}x{cfg.img_size}")
         lifp = LifParams(cfg.tau_m, cfg.theta, cfg.surrogate_alpha)
-        h = self.tape.leaf(x)
+        h = self.tape.leaf(x, dtype=self.dtype)
         s = lif_forward(matmul(h, self.params["embed.w"]), lifp, smooth=smooth)
         for idx, blk in enumerate(self.blocks):
             s = self._encoder_block(s, idx, blk, lifp, capture, smooth)
@@ -366,10 +380,14 @@ class _Reader:
 def load_checkpoint(path, with_optimizer: bool = False):
     """Rebuild a model from disk; bitwise-faithful to the saved tensors.
 
-    Denoiser tables are rebuilt from the loaded head scalars.  Raises
-    :class:`FormatError` (with the byte offset) on a bad magic, unsupported
-    version, truncation, a config blob that is not UTF-8, or any unknown,
-    duplicate or mismatched record; no partially restored model is ever returned.
+    The model takes the dtype of the first record (``save_checkpoint``
+    writes the parameters first), and every parameter record must have
+    the dtype of its parameter.  Denoiser tables are rebuilt from the
+    loaded head scalars.  Raises :class:`FormatError` (with the byte
+    offset) on a bad magic, unsupported version, truncation, a config blob
+    that is not UTF-8 or holds an invalid configuration, a record name that
+    is not UTF-8, or any unknown, duplicate or mismatched record; no
+    partially restored model is ever returned.
     """
     rdr = _Reader(Path(path).read_bytes())
     magic = rdr.take(4, "magic")
@@ -380,19 +398,26 @@ def load_checkpoint(path, with_optimizer: bool = False):
         raise FormatError(f"unsupported checkpoint version {version}; "
                           f"this reader supports {CKPT_VERSION}", offset=4)
     blob = rdr.take(rdr.u32("config length"), "config blob")
+    blob_at = rdr.pos - len(blob)
     try:
-        text = blob.decode("utf-8")
+        cfg = config_from_text(blob.decode("utf-8"))
+        cfg.validate()
     except UnicodeDecodeError as exc:
         raise FormatError(f"config blob is not valid UTF-8 ({exc.reason} at byte {exc.start})",
-                          offset=rdr.pos - len(blob)) from None
-    cfg = config_from_text(text)
-    model = SpikingTransformer(cfg)
-    params = dict(model.parameters())
+                          offset=blob_at) from None
+    except ConfigError as exc:
+        raise FormatError(f"invalid config blob: {exc}", offset=blob_at) from None
+    model: SpikingTransformer | None = None
+    params: dict[str, DiffTensor] = {}
     opt_state: dict[str, np.ndarray] = {}
     seen: set[str] = set()
     while not rdr.at_end:
         start = rdr.pos
-        name = rdr.take(rdr.u16("name length"), "name").decode("utf-8")
+        try:
+            name = rdr.take(rdr.u16("name length"), "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"tensor record name is not valid UTF-8 ({exc.reason} "
+                              f"at byte {exc.start})", offset=start) from None
         if name in seen:
             raise FormatError(f"duplicate tensor record {name!r}", offset=start)
         code = rdr.u8("dtype code")
@@ -404,16 +429,28 @@ def load_checkpoint(path, with_optimizer: bool = False):
         count = int(np.prod(shape)) if rank else 1
         payload = rdr.take(count * dtype.itemsize, f"payload of {name}")
         arr = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        if model is None:
+            if dtype not in FLOAT_DTYPES:
+                raise FormatError(f"first tensor {name} has dtype {dtype.name}; "
+                                  f"a model is float32 or float64", offset=start)
+            model = SpikingTransformer(cfg, dtype=dtype)
+            params = dict(model.parameters())
         if name in params:
-            if arr.shape != params[name].value.data.shape:
+            want = params[name].value.data
+            if arr.shape != want.shape:
                 raise FormatError(f"tensor {name} has shape {arr.shape}, model expects "
-                                  f"{params[name].value.data.shape}", offset=start)
-            params[name].value.data[...] = arr
+                                  f"{want.shape}", offset=start)
+            if arr.dtype != want.dtype:
+                raise FormatError(f"tensor {name} has dtype {arr.dtype.name}, model "
+                                  f"expects {want.dtype.name}", offset=start)
+            want[...] = arr
         elif name.startswith("opt."):
             opt_state[name] = arr
         else:
             raise FormatError(f"unknown tensor record {name!r}", offset=start)
         seen.add(name)
+    if model is None:
+        raise FormatError("checkpoint holds no tensors", offset=rdr.pos)
     missing = sorted(set(params) - seen)
     if missing:
         raise FormatError(f"checkpoint is missing tensors: {', '.join(missing)}",

@@ -112,7 +112,7 @@ def _full_model_fd(rng):
     cfg = ModelConfig(timesteps=3, blocks=1, embed_dim=8, heads=2, mlp_ratio=2,
                       img_size=8, patch_size=4, n_classes=2, seed=0, t_aw=2,
                       nsad_enabled=False)
-    model = SpikingTransformer(cfg)
+    model = SpikingTransformer(cfg, dtype=np.float64)
     shape = (cfg.timesteps, 2, cfg.in_channels, cfg.img_size, cfg.img_size)
     frames = (make_rng(5, 97).random(shape) < 0.25).astype(np.float64)
     labels = np.array([0, 1])

@@ -46,7 +46,9 @@ def temporal_filter(s: DiffTensor, t_aw: int, tau=0) -> DiffTensor:
 
     ``tau`` may be a scalar DiffTensor (its gradient is the exact
     derivative of the decay factors at the current value) or a plain
-    number.  A window of 1 is the identity filter.
+    number.  A window of 1 is the identity filter.  The factors are cast
+    to the dtype of ``s`` so a float32 filter computes in float32; at an
+    integral exponent they are powers of two, exact in either dtype.
     """
     if t_aw < 1:
         raise ConfigError(f"t_aw must be >= 1, got {t_aw}")
@@ -55,7 +57,7 @@ def temporal_filter(s: DiffTensor, t_aw: int, tau=0) -> DiffTensor:
     x = s.value.data
     steps = x.shape[0]
     lags = min(t_aw, steps)
-    factors = decay_factors(tau_val, lags)
+    factors = decay_factors(tau_val, lags).astype(x.dtype)
     out = x.copy()  # lag 0 carries factor 2^0 = 1
     for lag in range(1, lags):
         out[lag:] += factors[lag] * x[: steps - lag]
@@ -68,7 +70,8 @@ def temporal_filter(s: DiffTensor, t_aw: int, tau=0) -> DiffTensor:
             return (ds,)
         dtau = 0.0
         for lag in range(1, lags):
-            dtau += (-lag * LN2 * factors[lag]) * float(np.sum(g[lag:] * x[: steps - lag]))
+            dot = float(np.vdot(g[lag:], x[: steps - lag]))
+            dtau += (-lag * LN2 * float(factors[lag])) * dot
         return ds, np.asarray(dtau, dtype=x.dtype)
 
     inputs = (s,) if tau_dt is None else (s, tau_dt)

@@ -7,10 +7,10 @@ which is a valid topological order because every node is appended at the
 moment its output is computed and each :class:`DiffTensor` is the output
 of at most one node (operations always allocate a fresh output).
 
-Double precision is the default and is what the gradient checks assume;
-single precision is accepted for faster training runs.  With a fixed seed
-and a fixed operation sequence, values and gradients are bitwise
-reproducible in a single-threaded run.
+Tensors hold float32 or float64.  The model trains and infers in float32;
+the gradient checks run in float64 (:func:`check_gradients` always builds
+float64 leaves).  With a fixed seed, dtype and operation sequence, values
+and gradients are bitwise reproducible at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import AxisError, DimensionError, LabelError
 
 MAX_RANK = 5
 
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # glibc mallopt parameters and the values set below.
 _M_TRIM_THRESHOLD = -1
@@ -90,7 +90,7 @@ class Tensor:
     def __init__(self, data, dtype=None):
         arr = np.asarray(data)
         if dtype is None:
-            dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else np.float64
+            dtype = arr.dtype if arr.dtype in FLOAT_DTYPES else np.float64
         # np.ascontiguousarray would promote 0-d arrays to rank 1; asarray
         # with an order keeps scalars scalar and still yields C layout.
         arr = np.asarray(arr, dtype=dtype, order="C")

@@ -253,6 +253,33 @@ def test_eval_config_blob_not_utf8_is_a_data_error(ckpt, tiny_data, workdir, cap
     assert "byte offset 12" in err[0]
 
 
+def test_eval_record_name_not_utf8_is_a_data_error(ckpt, tiny_data, workdir, capsys):
+    bad = workdir / "bad_name.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    first = 12 + int.from_bytes(raw[8:12], "little")  # first record, after the config blob
+    raw[first + 2] = 0xFF  # first byte of its name, after the u16 name length
+    bad.write_bytes(bytes(raw))
+    rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(tiny_data)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "tensor record name is not valid UTF-8" in err[0]
+    assert f"byte offset {first}" in err[0]
+
+
+def test_eval_config_blob_bad_value_is_a_data_error(ckpt, tiny_data, workdir, capsys):
+    bad = workdir / "bad_heads.ckpt"
+    raw = ckpt.read_bytes()
+    assert raw.count(b"\nheads=2\n") == 1
+    bad.write_bytes(raw.replace(b"\nheads=2\n", b"\nheads=0\n"))
+    rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(tiny_data)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "data error: invalid config blob: heads must be >= 1, got 0" in err[0]
+    assert "byte offset 12" in err[0]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_eval_nonfinite_weights_is_a_numeric_error(ckpt, tiny_data, workdir, capsys):
     model = load_checkpoint(ckpt)

@@ -53,6 +53,8 @@ def test_config_validation():
         ModelConfig(n_classes=1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(tau_m=0.5).validate()
+    with pytest.raises(ConfigError, match="float32 or float64"):
+        SpikingTransformer(micro_config(), dtype=np.int64)
 
 
 @pytest.mark.parametrize("key", ["heads", "embed_dim", "patch_size", "img_size",
@@ -245,8 +247,12 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     before = model.forward_logits(frames)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
+    _, records = _records(path.read_bytes())
+    assert [name for name, _, _, _, _ in records] == list(model.params)
+    assert {code for _, code, _, _, _ in records} == {1}  # f4: float32 by default
 
     again = load_checkpoint(path)
+    assert again.dtype == np.float32
     assert vars(again.cfg) == vars(cfg)
     for name, p in model.parameters():
         assert np.array_equal(p.value.data, again.params[name].value.data), name
@@ -269,6 +275,51 @@ def test_checkpoint_roundtrip_with_optimizer(tmp_path):
     assert int(state["opt.step"]) == 1
     assert np.array_equal(state["opt.m.embed.w"], opt.m[0])
     assert np.array_equal(state["opt.v.embed.w"], opt.v[0])
+
+
+def test_checkpoint_roundtrip_float64(tmp_path):
+    cfg = micro_config(seed=5)
+    model = SpikingTransformer(cfg, dtype=np.float64)
+    frames = random_frames(cfg, seed=5)
+    before = model.forward_logits(frames)
+    assert before.dtype == np.float64
+    path = tmp_path / "model64.ckpt"
+    save_checkpoint(model, path)
+    _, records = _records(path.read_bytes())
+    assert {code for _, code, _, _, _ in records} == {0}  # f8
+
+    again = load_checkpoint(path)
+    assert again.dtype == np.float64
+    for name, p in model.parameters():
+        got = again.params[name].value.data
+        assert got.dtype == np.float64 and np.array_equal(got, p.value.data), name
+    assert np.array_equal(again.forward_logits(frames), before)
+
+
+@pytest.mark.parametrize("model_dtype", [np.float32, np.float64])
+def test_checkpoint_rejects_dtype_mismatch(tmp_path, model_dtype):
+    model = SpikingTransformer(micro_config(), dtype=model_dtype)
+    path = tmp_path / "mixed.ckpt"
+    save_checkpoint(model, path)
+    header, records = _records(path.read_bytes())
+    other = np.float64 if model_dtype == np.float32 else np.float32
+    out, offset = [header], None
+    for name, code, shape, payload, raw in records:
+        if name == "block0.attn.wv":
+            offset = sum(len(chunk) for chunk in out)
+            arr = np.frombuffer(payload, dtype=model_dtype).astype(other)
+            name_b = name.encode()
+            out.append(struct.pack("<H", len(name_b)) + name_b
+                       + bytes([{np.float64: 0, np.float32: 1}[other], len(shape)])
+                       + struct.pack(f"<{len(shape)}I", *shape) + arr.tobytes())
+        else:
+            out.append(raw)
+    path.write_bytes(b"".join(out))
+    want, got = np.dtype(model_dtype).name, np.dtype(other).name
+    with pytest.raises(FormatError, match=f"block0.attn.wv has dtype {got}, "
+                                          f"model expects {want}") as err:
+        load_checkpoint(path)
+    assert err.value.offset == offset
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

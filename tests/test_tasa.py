@@ -8,7 +8,8 @@ from ds2ta.errors import (ConfigError, DimensionError, InputError,
 from ds2ta.tasa import (AttentionScores, attention_scores, decay_factors,
                         explicit_sta_oracle, merge_heads, shift_decay_apply,
                         split_heads, tau_round_ste, temporal_filter)
-from ds2ta.tensorcore import Tape, check_gradients, make_rng, reduce_mean, reduce_sum
+from ds2ta.tensorcore import (Tape, check_gradients, make_rng, mul, reduce_mean,
+                              reduce_sum)
 
 
 def test_decay_factors():
@@ -47,6 +48,30 @@ def test_filter_window_clips_to_sequence_length():
     b = temporal_filter(x, 2, 1.0).value.data
     assert np.array_equal(a, b)
     assert np.array_equal(a.ravel(), [1.0, 1.5])
+
+
+def test_filter_float32_equals_float64_on_integer_inputs():
+    # Spikes and small residual sums stay exact in float32 under the
+    # power-of-two decay, so the float32 filter, its input gradient and
+    # its exponent gradient equal the float64 ones cast to float32.
+    rng = make_rng(4)
+    for trial in range(40):
+        shape = (int(rng.integers(1, 9)), 3, 5)
+        high = 2 if trial % 2 else 4  # spikes, then residual sums 0..3
+        x = rng.integers(0, high, size=shape).astype(np.float64)
+        g = rng.integers(-3, 4, size=shape).astype(np.float64)
+        t_aw, tau = int(rng.integers(1, 5)), float(rng.integers(0, 7))
+        results = {}
+        for dtype in (np.float32, np.float64):
+            tape = Tape()
+            xs = tape.leaf(x, dtype=dtype)
+            taus = tape.leaf(np.asarray(tau), dtype=dtype)
+            out = temporal_filter(xs, t_aw, taus)
+            tape.backward(reduce_sum(mul(out, tape.leaf(g, dtype=dtype))))
+            results[dtype] = (out.value.data, xs.grad.data, taus.grad.data)
+        for got, want in zip(results[np.float32], results[np.float64]):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want.astype(np.float32)), (trial, t_aw, tau)
 
 
 def test_filter_gradient_with_respect_to_input():

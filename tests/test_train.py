@@ -241,6 +241,38 @@ def test_evaluate_rejects_empty_dataset():
         evaluate(micro_model(), ds)
 
 
+# ------------------------------------------------------------ precision
+
+
+def test_default_training_step_is_float32():
+    """A default-config step computes, differentiates and updates in float32."""
+    model = SpikingTransformer(ModelConfig())
+    data = gen_temporal_order(32, seed=3)
+    opt = AdamW(model.parameters(), weight_decay=1e-4, lr_mult=10.0)
+    loss = cross_entropy_logits(model.forward(time_major(data.frames)), data.labels)
+    returned = set()
+
+    def watch(backward):
+        def wrapped(g):
+            grads = backward(g)
+            returned.update(np.asarray(x).dtype for x in grads if x is not None)
+            return grads
+        return wrapped
+
+    for node in model.tape.nodes:
+        node.backward = watch(node.backward)
+    model.zero_grads()
+    model.tape.backward(loss)
+    clip_global_norm(opt.named_params, 5.0)
+    opt.step(1e-3)
+    f32 = np.dtype(np.float32)
+    assert {node.output.value.dtype for node in model.tape.nodes} == {f32}
+    assert returned == {f32}
+    assert {p.grad.dtype for _, p in model.parameters() if p.grad is not None} == {f32}
+    assert {p.value.dtype for _, p in model.parameters()} == {f32}
+    assert {a.dtype for a in opt.m + opt.v} == {f32}
+
+
 # ------------------------------------------------------------ page faults
 
 
