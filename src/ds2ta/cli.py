@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 on data
 or format errors, 3 on numeric failures.  Every produced artifact gets a
 ``<artifact>.manifest.json`` written atomically next to it with the
-resolved configuration, seeds, inputs, outputs, tool version and wall
-clock, so a run can be reproduced from the manifest alone.
+resolved configuration, seeds, inputs, outputs, tool version, wall
+clock and environment (Python, numpy and BLAS versions, the BLAS thread
+variables and the CPU count), so a run can be reproduced from the
+manifest alone and its timings compared with the benchmark's.
 
 Precedence for settings: command line flags override the config file,
 which overrides built-in defaults.  The seed additionally falls back to
@@ -16,10 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analyze import (E_AC_PJ_DEFAULT, export_attention, measure, render_report)
@@ -31,6 +36,7 @@ from .model import (ModelConfig, SpikingTransformer, config_from_dict,
 from .train import TrainConfig, evaluate, train
 
 MODES = ("ds2ta", "spatial-only", "nsad-only")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,9 +139,26 @@ def _resolve_seed(flag_seed, config_values: dict[str, str] | None) -> int:
     return 0
 
 
+def _environment() -> dict:
+    """The host facts that step times depend on, named as the benchmark names them."""
+    blas = {}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "thread_vars": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(artifact_path, command: str, resolved: dict, seeds: dict,
                     inputs: list, outputs: list, started: float) -> Path:
     manifest = {
+        "environment": _environment(),
         "subcommand": command,
         "config": resolved,
         "seeds": seeds,
@@ -198,9 +221,19 @@ def _model_config_for(args, dataset, config_values: dict[str, str], seed: int) -
     return cfg
 
 
+def _read_config_file(path) -> dict[str, str]:
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 "
+                          f"({exc.reason} at byte {exc.start})") from None
+    return parse_config_text(text)
+
+
 def _cmd_train(args) -> int:
     started = time.time()
-    config_values = parse_config_text(Path(args.config).read_text()) if args.config else {}
+    config_values = _read_config_file(args.config) if args.config else {}
     seed = _resolve_seed(args.seed, config_values)
     dataset = read_evtb(args.data)
     eval_dataset = read_evtb(args.eval_data) if args.eval_data else None

@@ -101,6 +101,8 @@ def gen_temporal_order(n: int, timesteps: int = 8, grid: int = 16,
                        noise_rate: float = 0.02, seed: int = 0,
                        t_gap_max: int | None = None) -> EventDataset:
     """Order-discrimination task: label 0 iff the checker flash leads."""
+    if n < 0:
+        raise GenerationError(f"sample count must be >= 0, got {n}")
     if timesteps < 4:
         raise GenerationError(f"need at least 4 timesteps, got {timesteps}")
     if grid % PATTERN_SIZE or grid < 2 * PATTERN_SIZE:
@@ -141,6 +143,8 @@ def gen_static_patterns(n: int, timesteps: int = 8, grid: int = 16,
                         classes: int = 2, noise_rate: float = 0.02,
                         seed: int = 0) -> EventDataset:
     """Pattern-identity task: the class glyph repeats every timestep."""
+    if n < 0:
+        raise GenerationError(f"sample count must be >= 0, got {n}")
     if timesteps < 1:
         raise GenerationError(f"need at least 1 timestep, got {timesteps}")
     if grid % PATTERN_SIZE:

@@ -22,6 +22,7 @@ outputs bitwise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields, field
 from pathlib import Path
@@ -104,6 +105,9 @@ class ModelConfig:
             raise ConfigError(f"img_size {self.img_size} not divisible by patch {self.patch_size}")
         if self.t_aw < 1:
             raise ConfigError(f"t_aw must be >= 1, got {self.t_aw}")
+        for name in ("tau_init", "u_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau_max < 0 or self.tau_init < 0 or self.u_init < 0:
             raise ConfigError("decay and threshold parameters must be >= 0")
         if self.mlp_ratio < 1:
@@ -316,12 +320,18 @@ class SpikingTransformer:
         return out
 
     def forward_logits(self, frames: np.ndarray, capture: list | None = None) -> np.ndarray:
-        """Inference helper: forward values only, tape left clean."""
-        mark = len(self.tape.nodes)
-        logits = self.forward(frames, capture=capture)
-        values = logits.value.data.copy()
-        del self.tape.nodes[mark:]
-        return values
+        """Inference: the logits array of ``forward``, recording no graph.
+
+        Recording is off for the whole call, so the tape gains no node and
+        each activation is freed as soon as the forward stops referring to
+        it.  Recording is restored even if the forward raises.
+        """
+        tape = self.tape
+        was_recording, tape.recording = tape.recording, False
+        try:
+            return self.forward(frames, capture=capture).value.data
+        finally:
+            tape.recording = was_recording
 
 
 def save_checkpoint(model: SpikingTransformer, path, optimizer=None) -> None:

@@ -7,6 +7,16 @@ which is a valid topological order because every node is appended at the
 moment its output is computed and each :class:`DiffTensor` is the output
 of at most one node (operations always allocate a fresh output).
 
+The tape holds memory only while something can still read it.  Backward
+consumes the graph: it pops each node as it runs it, so the node's saved
+arrays and its output's gradient are freed once the gradient has been
+passed on, and only the leaves keep gradients.  A tape with recording
+switched off (inference, see ``SpikingTransformer.forward_logits``)
+appends no node at all, so each activation is freed as soon as the
+forward stops referring to it.  A backward closure hands its returned
+arrays over to the tape, which stores a fresh one as the input's gradient
+without copying it (the contract is on :meth:`Tape.record`).
+
 Tensors hold float32 or float64.  The model trains and infers in float32;
 the gradient checks run in float64 (:func:`check_gradients` always builds
 float64 leaves).  With a fixed seed, dtype and operation sequence, values
@@ -178,13 +188,17 @@ class Tape:
     """Ordered record of differentiable operations.
 
     The tape owns all saved forward state; a single tape is meant to be
-    used from a single thread.  ``clear`` drops the recorded nodes but
-    leaves previously created leaves (parameters) usable, so a training
-    loop records a fresh graph per step over long-lived leaves.
+    used from a single thread.  ``backward`` consumes the recorded nodes;
+    ``clear`` drops whatever is left, such as a graph that was never
+    differentiated.  Previously created leaves (parameters) stay usable,
+    so a training loop records a fresh graph per step over long-lived
+    leaves.  While ``recording`` is False, operations compute their
+    outputs but append no node.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.recording = True
 
     def leaf(self, value, dtype=None) -> DiffTensor:
         """Bind a value to this tape without recording a node."""
@@ -193,31 +207,63 @@ class Tape:
         return DiffTensor(value, self)
 
     def record(self, name, inputs, out_data, backward) -> DiffTensor:
+        """Wrap ``out_data`` as an output and, while recording, append its node.
+
+        ``backward`` maps the output's gradient to one gradient (or None)
+        per input.  Contract: it returns only arrays that neither it nor
+        any other closure reads again, that is fresh arrays or views of the
+        upstream gradient, never a saved forward array.  The tape may store
+        a fresh returned array as the input's gradient and later add other
+        gradients into it in place.
+        """
         out = DiffTensor(Tensor(out_data), self)
-        self.nodes.append(TapeNode(name, tuple(inputs), out, backward))
+        if self.recording:
+            self.nodes.append(TapeNode(name, tuple(inputs), out, backward))
         return out
 
     def backward(self, root: DiffTensor) -> None:
-        """Accumulate gradients of ``root`` into every reachable tensor.
+        """Accumulate gradients of ``root`` into every leaf it reaches.
 
-        The root is seeded with ones; nodes are visited in strict reverse
-        insertion order and nodes whose output never received a gradient
-        (unreachable from the root) are skipped.
+        The root is seeded with ones.  Nodes are popped and run in strict
+        reverse insertion order, so the graph is consumed: the tape is
+        empty afterwards, nodes whose output never received a gradient
+        (unreachable from the root) are dropped unrun, and every node
+        output's gradient is released once passed on.  Leaves keep their
+        gradients.
         """
         if root.tape is not self:
             raise ValueError("root does not belong to this tape")
         root.accumulate_grad(np.ones_like(root.value.data))
-        for node in reversed(self.nodes):
-            out_grad = node.output.grad
-            if out_grad is None:
+        while self.nodes:
+            self._run(self.nodes.pop())
+
+    @staticmethod
+    def _run(node: TapeNode) -> None:
+        # One call per node, so that the node, its upstream gradient and
+        # the returned list are released on return, not at the next node.
+        out = node.output
+        if out.grad is None:
+            return
+        upstream = out.grad.data
+        out.grad = None
+        grads = node.backward(upstream)
+        if len(grads) != len(node.inputs):
+            raise ValueError(f"node {node.name} returned {len(grads)} gradients "
+                             f"for {len(node.inputs)} inputs")
+        grads = [None if g is None else np.asarray(g) for g in grads]
+        for i, (inp, g) in enumerate(zip(node.inputs, grads)):
+            if g is None:
                 continue
-            grads = node.backward(out_grad.data)
-            if len(grads) != len(node.inputs):
-                raise ValueError(f"node {node.name} returned {len(grads)} gradients "
-                                 f"for {len(node.inputs)} inputs")
-            for inp, g in zip(node.inputs, grads):
-                if g is not None:
-                    inp.accumulate_grad(np.asarray(g))
+            want = inp.value.data
+            if (inp.grad is None and g.dtype == want.dtype and g.shape == want.shape
+                    and g.flags.c_contiguous and not np.may_share_memory(g, upstream)
+                    and not any(other is not None and j != i
+                                and np.may_share_memory(g, other)
+                                for j, other in enumerate(grads))):
+                # A fresh array no closure reads again: hand it over as is.
+                inp.grad = Tensor(g)
+            else:
+                inp.accumulate_grad(g)
 
     def clear(self) -> None:
         self.nodes.clear()

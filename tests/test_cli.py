@@ -77,6 +77,11 @@ def test_gen_data_writes_dataset_and_manifest(tiny_data):
     assert manifest["config"]["count"] == 24
     assert str(tiny_data) in manifest["outputs"]
     assert {"tool_version", "started_utc", "wall_clock_s"} <= set(manifest)
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "blas", "thread_vars", "cpu_count"}
+    assert env["numpy"] == np.__version__
+    assert set(env["thread_vars"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS"}
 
 
 def test_gen_data_same_seed_is_byte_identical(workdir):
@@ -86,6 +91,17 @@ def test_gen_data_same_seed_is_byte_identical(workdir):
                        "--timesteps", "4", "--grid", "8", "--seed", "4"])
         assert rc == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("task", ["temporal-order", "static-patterns"])
+def test_gen_data_negative_count_is_one_line_data_error(workdir, capsys, task):
+    rc = cli.main(["gen-data", "--task", task, "--out", str(workdir / "neg.evtb"),
+                   "--count", "-3"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "data error: sample count must be >= 0, got -3" in err[0]
+    assert not (workdir / "neg.evtb").exists()
 
 
 def test_gen_data_static_patterns(workdir):
@@ -199,17 +215,34 @@ def test_train_unknown_config_key_is_a_config_error(workdir, tiny_data, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["embed_dim=abc", "seed=abc", "heads=0"])
+@pytest.mark.parametrize("line", ["embed_dim=abc", "seed=abc", "heads=0", "tau_init=nan",
+                                  pytest.param(b"heads=\xff", id="not-utf8")])
 def test_train_bad_config_value_is_one_line_config_error(workdir, tiny_data, capsys, line):
     cfg = workdir / "bad_value.cfg"
-    cfg.write_text(f"{line}\n")
+    if isinstance(line, bytes):
+        cfg.write_bytes(line + b"\n")
+        named = [f"config file {cfg}", "not valid UTF-8", "at byte 6"]
+    else:
+        cfg.write_text(f"{line}\n")
+        named = [line.split("=")[0]]
     rc = cli.main(["train", "--data", str(tiny_data),
                    "--out", str(workdir / "bad_value.ckpt"), "--config", str(cfg)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("ds2ta: configuration error:")
     assert len(err.splitlines()) == 1
-    assert line.split("=")[0] in err
+    for text in named:
+        assert text in err
+
+
+@pytest.mark.parametrize("flag, value", [("--tau-init", "nan"), ("--u-init", "inf")])
+def test_train_nonfinite_init_flag_is_a_config_error(workdir, tiny_data, capsys, flag, value):
+    rc = cli.main(["train", "--data", str(tiny_data),
+                   "--out", str(workdir / "nonfinite.ckpt"), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"configuration error: {flag[2:].replace('-', '_')} must be finite" in err[0]
 
 
 # --------------------------------------------------- eval / analyze / export

@@ -119,6 +119,8 @@ def test_temporal_order_determinism():
 
 
 def test_temporal_order_validation():
+    with pytest.raises(GenerationError, match="sample count"):
+        gen_temporal_order(-1)
     with pytest.raises(GenerationError):
         gen_temporal_order(4, timesteps=3)
     with pytest.raises(GenerationError):
@@ -145,6 +147,8 @@ def test_static_patterns_repeat_every_timestep():
 
 
 def test_static_patterns_validation():
+    with pytest.raises(GenerationError, match="sample count"):
+        gen_static_patterns(-1)
     with pytest.raises(GenerationError):
         gen_static_patterns(4, classes=1)
     with pytest.raises(GenerationError):

@@ -53,6 +53,10 @@ def test_config_validation():
         ModelConfig(n_classes=1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(tau_m=0.5).validate()
+    for key in ("tau_init", "u_init"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                ModelConfig(**{key: value}).validate()
     with pytest.raises(ConfigError, match="float32 or float64"):
         SpikingTransformer(micro_config(), dtype=np.int64)
 
@@ -175,13 +179,35 @@ def test_init_is_seeded():
                               c.params["embed.w"].value.data)
 
 
-def test_forward_logits_leaves_tape_clean():
+def test_forward_logits_leaves_tape_clean(monkeypatch):
     cfg = micro_config()
     model = SpikingTransformer(cfg)
-    before = len(model.tape.nodes)
+    tape = model.tape
+    record = tape.record
+    sizes = []
+
+    def spy(*args):
+        out = record(*args)
+        sizes.append(len(tape.nodes))
+        return out
+
+    monkeypatch.setattr(tape, "record", spy)
     values = model.forward_logits(random_frames(cfg))
-    assert len(model.tape.nodes) == before
+    # no node appended at any point of the call, not only by its end
+    assert sizes and set(sizes) == {0}
     assert values.shape == (2, cfg.n_classes)
+    assert np.array_equal(model.forward(random_frames(cfg)).value.data, values)
+    assert len(tape.nodes) == sizes[-1] > 0
+
+
+def test_forward_logits_that_raises_leaves_recording_on():
+    cfg = micro_config()
+    model = SpikingTransformer(cfg)
+    with pytest.raises(ConfigError, match="geometry"):
+        model.forward_logits(random_frames(micro_config(timesteps=4)))
+    assert model.tape.recording
+    model.forward(random_frames(cfg))
+    assert model.tape.nodes
 
 
 # ----------------------------------------------------- ablation equivalence
@@ -378,6 +404,17 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     path.write_bytes(header + kept)
     with pytest.raises(FormatError, match="head.b"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_nonfinite_config_value(tmp_path):
+    path = tmp_path / "nan_tau.ckpt"
+    save_checkpoint(SpikingTransformer(micro_config()), path)
+    buf = path.read_bytes()
+    assert buf.count(b"\ntau_init=1.0\n") == 1
+    path.write_bytes(buf.replace(b"\ntau_init=1.0\n", b"\ntau_init=nan\n"))
+    with pytest.raises(FormatError, match="tau_init must be finite") as err:
+        load_checkpoint(path)
+    assert err.value.offset == 12  # the config blob, after magic, version and length
 
 
 def test_checkpoint_rejects_duplicate_record(tmp_path):

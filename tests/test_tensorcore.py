@@ -1,5 +1,8 @@
 """Tensor container, tape mechanics, and operation gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -369,15 +372,60 @@ def test_first_gradient_is_an_owned_copy():
 
 
 def test_shared_gradient_array_gives_independent_gradients():
-    # add's backward returns the same array for both operands.
+    # Each backward below returns the upstream gradient, or a view of it,
+    # as a first gradient (add returns one array for both operands), or
+    # one fresh array for two operands ("twin").  The upstream arrays are
+    # kept, as a tracer wrapping the closures may, and every leaf must
+    # still get an array of its own.
+    def twin(a, b):
+        return a.tape.record("twin", (a, b), a.data + b.data, lambda g: (g * 1.0,) * 2)
+
+    cases = {
+        "twin": (twin, [1.0, 1.0]),
+        "add": (lambda a, b: add(a, b), [1.0, 1.0]),
+        "sub": (lambda a, b: sub(a, b), [-1.0, -1.0]),
+        "reshape": (lambda a, b: add(reshape(a, (2, 1)), reshape(b, (2, 1))), [1.0, 1.0]),
+        "bias_add": (lambda a, b: bias_add(reshape(a, (1, 2)), b), [1.0, 1.0]),
+    }
+    for name, (fn, b_grad) in cases.items():
+        tape = Tape()
+        a = tape.leaf(np.array([1.0, 2.0]))
+        b = tape.leaf(np.array([3.0, 4.0]))
+        root = reduce_sum(fn(a, b))
+        upstream = []
+
+        def keep(backward):
+            def wrapped(g):
+                upstream.append(g)
+                return backward(g)
+            return wrapped
+
+        for node in tape.nodes:
+            node.backward = keep(node.backward)
+        tape.backward(root)
+        assert np.array_equal(a.grad.data, [1.0, 1.0]), name
+        assert np.array_equal(b.grad.data, b_grad), name
+        for g in [b.grad.data] + upstream:
+            assert not np.may_share_memory(a.grad.data, g), name
+        for g in upstream:
+            assert not np.may_share_memory(b.grad.data, g), name
+        a.grad.data *= 5.0
+        assert np.array_equal(b.grad.data, b_grad), name
+
+
+def test_backward_consumes_the_graph():
     tape = Tape()
-    a = tape.leaf(np.array([1.0, 2.0]))
-    b = tape.leaf(np.array([3.0, 4.0]))
-    tape.backward(reduce_sum(add(a, b)))
-    assert np.array_equal(a.grad.data, [1.0, 1.0])
-    assert a.grad.data is not b.grad.data
-    a.grad.data *= 5.0
-    assert np.array_equal(b.grad.data, [1.0, 1.0])
+    a = tape.leaf(np.array([1.0, 2.0, 3.0]))
+    hidden = mul(a, a)
+    released = weakref.ref(hidden.value.data)
+    root = reduce_sum(scale(hidden, 2.0))
+    del hidden
+    tape.backward(root)
+    gc.collect()
+    assert not tape.nodes
+    assert np.array_equal(a.grad.data, [4.0, 8.0, 12.0])
+    assert root.grad is None
+    assert released() is None
 
 
 def test_float32_leaf_keeps_float32_gradient():

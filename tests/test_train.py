@@ -261,12 +261,14 @@ def test_default_training_step_is_float32():
 
     for node in model.tape.nodes:
         node.backward = watch(node.backward)
+    # backward consumes the nodes, so collect their outputs first
+    outputs = [node.output for node in model.tape.nodes]
     model.zero_grads()
     model.tape.backward(loss)
     clip_global_norm(opt.named_params, 5.0)
     opt.step(1e-3)
     f32 = np.dtype(np.float32)
-    assert {node.output.value.dtype for node in model.tape.nodes} == {f32}
+    assert {out.value.dtype for out in outputs} == {f32}
     assert returned == {f32}
     assert {p.grad.dtype for _, p in model.parameters() if p.grad is not None} == {f32}
     assert {p.value.dtype for _, p in model.parameters()} == {f32}
