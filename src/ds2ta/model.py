@@ -5,7 +5,10 @@ blocks -> mean pool over time and tokens -> linear classifier.  Each
 encoder block runs windowed-decay attention (query/key/value projections
 through LIF, integer score matrices, optional table denoiser, value
 mixing, output projection through LIF, spike residual) followed by a
-two-layer LIF MLP with its own spike residual.  Residual adds are plain
+two-layer LIF MLP with its own spike residual.  Every projection into a
+LIF is one fused ``lif_linear`` node that saves no input current, and the
+attention reads its heads through strided views, so a training forward
+holds only arrays that some backward reads.  Residual adds are plain
 elementwise sums of spike trains, so activations between blocks are small
 non-negative integers rather than strictly binary.
 
@@ -30,10 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .neuron import LifParams, lif_forward
+from .neuron import LifParams, lif_linear
 from .nsad import NsadHead, denoise
-from .tasa import (AttentionScores, attention_scores, merge_heads, split_heads,
-                   tau_round_ste, temporal_filter)
+from .tasa import attend, attention_scores, tau_round_ste, temporal_filter
 from .tensorcore import (FLOAT_DTYPES, DiffTensor, Tape, add, bias_add, make_rng,
                          matmul, reduce_mean)
 
@@ -283,7 +285,7 @@ class SpikingTransformer:
                               f"x{cfg.img_size}x{cfg.img_size}")
         lifp = LifParams(cfg.tau_m, cfg.theta, cfg.surrogate_alpha)
         h = self.tape.leaf(x, dtype=self.dtype)
-        s = lif_forward(matmul(h, self.params["embed.w"]), lifp, smooth=smooth)
+        s = lif_linear(h, self.params["embed.w"], lifp, smooth=smooth)
         for idx, blk in enumerate(self.blocks):
             s = self._encoder_block(s, idx, blk, lifp, capture, smooth)
         pooled = reduce_mean(s, axes=(0, 2))
@@ -297,26 +299,26 @@ class SpikingTransformer:
             f = temporal_filter(s, cfg.t_aw, tau_int)
         else:
             f = s
-        q = lif_forward(matmul(f, blk.wq), lifp, smooth=smooth)
-        k = lif_forward(matmul(f, blk.wk), lifp, smooth=smooth)
-        v = lif_forward(matmul(f, blk.wv), lifp, smooth=smooth)
+        q = lif_linear(f, blk.wq, lifp, smooth=smooth)
+        k = lif_linear(f, blk.wk, lifp, smooth=smooth)
+        v = lif_linear(f, blk.wv, lifp, smooth=smooth)
         sc = attention_scores(q, k, cfg.heads)
         if cfg.nsad_enabled:
             att = denoise(sc, blk.heads, continuous=smooth)
         else:
             att = sc.scores
-        ctx = merge_heads(matmul(att, split_heads(v, cfg.heads)))
+        ctx = attend(att, v, cfg.heads)
         if tasa_on:
             ctx = temporal_filter(ctx, cfg.t_aw, tau_int)
-        o = lif_forward(matmul(ctx, blk.wo), lifp, smooth=smooth)
+        o = lif_linear(ctx, blk.wo, lifp, smooth=smooth)
         s = add(s, o)
-        m = lif_forward(matmul(s, blk.w1), lifp, smooth=smooth)
-        m = lif_forward(matmul(m, blk.w2), lifp, smooth=smooth)
+        m = lif_linear(s, blk.w1, lifp, smooth=smooth)
+        m = lif_linear(m, blk.w2, lifp, smooth=smooth)
         out = add(s, m)
         if capture is not None:
+            # The arrays themselves: nothing writes to a node's output.
             capture.append(BlockAttentionCapture(
-                idx, sc.scores.value.data.copy(), att.value.data.copy(),
-                out.value.data.copy()))
+                idx, sc.scores.value.data, att.value.data, out.value.data))
         return out
 
     def forward_logits(self, frames: np.ndarray, capture: list | None = None) -> np.ndarray:

@@ -154,11 +154,14 @@ def denoise(scores: AttentionScores, heads: list[NsadHead], *,
 
     # Integral scores take one of d + 1 values per head, so both the table
     # read and the backward work on flat indices s + h*(d + 1) into the
-    # [H, d + 1] grid of (head, score) pairs.
+    # [H, d + 1] grid of (head, score) pairs, saved in the narrowest
+    # unsigned type that holds them (uint8 at the default sizes).
     s_int = s_arr.astype(np.int64)
     integral = np.array_equal(s_int, s_arr)
     if integral:
-        s_int += (np.arange(len(heads)) * (d + 1)).reshape(-1, 1, 1)
+        index_type = np.min_scalar_type(len(heads) * (d + 1))
+        s_int = s_int.astype(index_type)
+        s_int += (np.arange(len(heads), dtype=index_type) * (d + 1)).reshape(-1, 1, 1)
     if continuous:
         out = np.stack([f_eval(s_arr[:, :, h], head, "train")
                         for h, head in enumerate(heads)], axis=2)

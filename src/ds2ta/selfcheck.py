@@ -3,8 +3,9 @@
 Each function is one acceptance criterion (1-3 in
 ``tests/test_acceptance.py``): it raises ``AssertionError`` with a message
 naming the failing case and otherwise returns the figure the gate
-reports.  The windowed projection is checked through the same three calls
-the encoder block makes, so the gate covers the path the model runs.
+reports.  The windowed projection is checked through the calls the
+encoder block makes (rounding, filter, product) and the fused spiking
+projection it then runs, so the gate covers the path the model runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelConfig, SpikingTransformer
-from .neuron import LifParams, lif_forward
+from .neuron import LifParams, lif_forward, lif_linear
 from .nsad import NsadHead, denoise
 from .tasa import (AttentionScores, explicit_sta_oracle, shift_decay_apply,
                    tau_round_ste, temporal_filter)
@@ -154,8 +155,10 @@ def replica_sweep() -> float:
 
     Builds each projection exactly as the encoder block does (round and
     clamp the exponent, filter, multiply) on 100 random configurations,
-    half of them with fractional exponents.  Returns the worst absolute
-    difference.
+    half of them with fractional exponents.  On each, the fused spiking
+    projection ``lif_linear`` the block runs must also give bitwise the
+    spikes of ``lif_forward`` over that product.  Returns the worst
+    absolute difference.
     """
     rng = make_rng(37)
     worst = 0.0
@@ -170,10 +173,15 @@ def replica_sweep() -> float:
         w = rng.normal(size=(d_in, d_out))
         tape = Tape()
         tau_int = tau_round_ste(tape.leaf(np.asarray(tau)), ModelConfig.tau_max)
-        fast = matmul(temporal_filter(tape.leaf(s), t_aw, tau_int), tape.leaf(w)).value.data
+        filtered, weight = temporal_filter(tape.leaf(s), t_aw, tau_int), tape.leaf(w)
+        projected = matmul(filtered, weight)
+        fast = projected.value.data
         slow = explicit_sta_oracle(s, w, t_aw, tau_int)
         diff = float(np.max(np.abs(fast - slow)))
         assert diff <= 1e-12, f"trial {trial}: max diff {diff:.3e}"
+        fused = lif_linear(filtered, weight).value.data
+        assert np.array_equal(fused, lif_forward(projected).value.data), \
+            f"trial {trial}: lif_linear spikes differ from lif_forward(matmul(...))"
         worst = max(worst, diff)
     return worst
 

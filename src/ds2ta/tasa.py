@@ -15,6 +15,13 @@ time so the attenuation is implementable as a bit shift;
 :func:`shift_decay_apply` is that fixed-point path and must agree bitwise
 with float multiplication by 2^(-tau*lag).  During training ``tau`` is the
 straight-through rounding of a continuous parameter.
+
+Attention runs per head on [T, B, H, N, D/H] strided views of the
+[T, B, N, D] activations: :func:`attention_scores` and :func:`attend`
+neither copy heads apart nor merge them back, and their backwards write
+into head views of fresh arrays.  :func:`split_heads` and
+:func:`merge_heads` are the copying composition they reproduce bitwise
+(for the scores, on spike queries and keys, as the model gives them).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, PrecisionError
-from .tensorcore import DiffTensor, matmul, reshape, round_half_away, transpose
+from .tensorcore import DiffTensor, _tape_of, reshape, round_half_away, transpose
 
 LN2 = float(np.log(2.0))
 
@@ -166,18 +173,71 @@ def merge_heads(x: DiffTensor) -> DiffTensor:
     return reshape(transpose(x, (0, 1, 3, 2, 4)), (t, b, n, h * d))
 
 
+def _head_view(x: np.ndarray, heads: int) -> np.ndarray:
+    """[T, B, N, D] array -> [T, B, H, N, D/H] strided view, no copy."""
+    t, b, n, d = x.shape
+    return x.reshape(t, b, n, heads, d // heads).transpose(0, 1, 3, 2, 4)
+
+
 def attention_scores(q: DiffTensor, k: DiffTensor, heads: int) -> AttentionScores:
     """Raw per-head, per-timestep score matrices Q_h[t] @ K_h[t]^T.
 
     With binary spike inputs each score is a popcount of query/key
     co-activations, so no softmax and no 1/sqrt(d) scaling is applied;
-    values stay exact integers in [0, head_dim].
+    values stay exact integers in [0, head_dim].  Heads are read through
+    strided views of ``q`` and ``k`` and the gradients are written into
+    head views of fresh [T, B, N, D] arrays, so neither direction copies
+    the heads apart.  The scores of spike queries and keys are exact
+    counts, bitwise those of
+    ``matmul(split_heads(q), transpose(split_heads(k), (0, 1, 2, 4, 3)))``.
+    Real-valued products (the gradients, smooth-mode scores) run the same
+    sums through another BLAS operand layout; they matched bitwise at the
+    default sizes, but BLAS may round them differently at others.
     """
     if q.shape != k.shape:
         raise DimensionError(f"query shape {q.shape} differs from key shape {k.shape}")
     if len(q.shape) != 4:
         raise DimensionError(f"expected [T, B, N, D] activations, got {q.shape}")
-    qh = split_heads(q, heads)
-    kh = split_heads(k, heads)
-    scores = matmul(qh, transpose(kh, (0, 1, 2, 4, 3)))
-    return AttentionScores(scores, head_dim=q.shape[-1] // heads)
+    if q.shape[-1] % heads != 0:
+        raise ConfigError(f"embedding dim {q.shape[-1]} not divisible by {heads} heads")
+    qv, kv = q.value.data, k.value.data
+    qh, kh = _head_view(qv, heads), _head_view(kv, heads)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+
+    def backward(g):
+        dq, dk = np.empty_like(qv), np.empty_like(kv)
+        np.matmul(g, kh, out=_head_view(dq, heads))
+        np.matmul(qh.swapaxes(-1, -2), g, out=_head_view(dk, heads).swapaxes(-1, -2))
+        return dq, dk
+
+    out = _tape_of(q, k).record("attention_scores", (q, k), scores, backward)
+    return AttentionScores(out, head_dim=q.shape[-1] // heads)
+
+
+def attend(att: DiffTensor, v: DiffTensor, heads: int) -> DiffTensor:
+    """Mix values by the attention maps: ``merge_heads(att @ split_heads(v))``.
+
+    ``att`` is [T, B, H, N, N] and ``v`` is [T, B, N, D].  Each head's
+    product is written through a head view into one [T, B, N, D] output,
+    and the backward reads the upstream gradient through head views too,
+    so no head is copied apart or merged back.  Each product has the
+    operand layout of the split/matmul/merge composition, whose values and
+    gradients it reproduces bitwise.
+    """
+    a, x = att.value.data, v.value.data
+    if a.ndim != 5 or x.ndim != 4 or a.shape[2] != heads or x.shape[-1] % heads \
+            or a.shape[:2] != x.shape[:2] or a.shape[-1] != x.shape[2]:
+        raise DimensionError(f"attention maps {a.shape} do not fit values {x.shape} "
+                             f"with {heads} heads")
+    vh = _head_view(x, heads)
+    out = np.empty_like(x)
+    np.matmul(a, vh, out=_head_view(out, heads))
+
+    def backward(g):
+        gh = _head_view(g, heads)
+        datt = np.matmul(gh, vh.swapaxes(-1, -2))
+        dv = np.empty_like(x)
+        np.matmul(a.swapaxes(-1, -2), gh, out=_head_view(dv, heads))
+        return datt, dv
+
+    return _tape_of(att, v).record("attend", (att, v), out, backward)

@@ -288,6 +288,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def dense_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for shared 2-D weights: the batch extents of ``x`` are
+    collapsed into one GEMM instead of looping many small ones."""
+    flat = x.reshape(-1, x.shape[-1])
+    return (flat @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+
+
+def dense_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """Gradients (dx, dw) of :func:`dense_forward` for the upstream ``g``."""
+    gf = g.reshape(-1, w.shape[-1])
+    dx = (gf @ w.T).reshape(x.shape)
+    dw = x.reshape(-1, x.shape[-1]).T @ gf
+    return dx, dw
+
+
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """Batched matrix product; leading extents broadcast (equal or 1)."""
     tape = _tape_of(a, b)
@@ -301,16 +316,10 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
             raise DimensionError(f"matmul batch extents incompatible: {x.shape} x {y.shape}")
 
     if y.ndim == 2:
-        # Shared projection weights: collapse the batch extents into one
-        # GEMM instead of looping many small ones.
-        flat = x.reshape(-1, x.shape[-1])
-        out = (flat @ y).reshape(x.shape[:-1] + (y.shape[-1],))
+        out = dense_forward(x, y)
 
         def backward(g):
-            gf = g.reshape(-1, y.shape[-1])
-            da = (gf @ y.T).reshape(x.shape)
-            db = flat.T @ gf
-            return da, db
+            return dense_backward(x, y, g)
     else:
         out = x @ y
 

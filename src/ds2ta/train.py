@@ -7,7 +7,10 @@ exponents clamped into [0, tau_max]) and a rebuild of the denoiser
 tables.  The denoiser scalars and the decay exponents train at a
 multiple of the base learning rate and are excluded from weight decay.
 
-Metrics are line-delimited JSON records, one per epoch.  A fixed seed and
+Metrics are line-delimited JSON records, one per epoch.  Besides loss,
+accuracy and map sparsity, each record reports gradient health: the mean
+and largest pre-clip gradient norm, the fraction of clipped steps, and the
+parameters that got no gradient in any step of the epoch.  A fixed seed and
 config reproduce training curves exactly in a single-threaded run; a
 non-finite loss aborts with the epoch, batch, and worst parameter norm.
 """
@@ -192,6 +195,8 @@ def train(model: SpikingTransformer, dataset: EventDataset, cfg: TrainConfig,
             lr = cosine_lr(epoch, cfg.epochs, cfg.lr_init, cfg.lr_min)
             order = shuffle_rng.permutation(len(dataset))
             losses, correct, seen = [], 0, 0
+            norms: list[float] = []
+            reached: set[str] = set()
             for start in range(0, len(dataset), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 frames = time_major(dataset.frames[batch])
@@ -206,7 +211,8 @@ def train(model: SpikingTransformer, dataset: EventDataset, cfg: TrainConfig,
                         f"largest parameter norm {norm:.3e} ({name})")
                 model.zero_grads()
                 model.tape.backward(loss)
-                clip_global_norm(named, cfg.grad_clip)
+                reached.update(name for name, p in named if p.grad is not None)
+                norms.append(clip_global_norm(named, cfg.grad_clip))
                 opt.step(lr)
                 apply_projections(model)
                 model.rebuild_tables()
@@ -222,6 +228,12 @@ def train(model: SpikingTransformer, dataset: EventDataset, cfg: TrainConfig,
                 "eval_acc": None,
                 "sparsity": [float(s) for s in
                              _probe_sparsity(model, dataset, cfg.batch_size)],
+                # Pre-clip global gradient norms; a step is clipped when its
+                # norm exceeds grad_clip (clip_global_norm's own test).
+                "grad_norm_mean": sum(norms) / len(norms),
+                "grad_norm_max": max(norms),
+                "clip_frac": sum(n > cfg.grad_clip for n in norms) / len(norms),
+                "no_grad_params": [name for name, _ in named if name not in reached],
             }
             last = epoch == cfg.epochs - 1
             if eval_dataset is not None and ((epoch + 1) % cfg.eval_every == 0 or last):

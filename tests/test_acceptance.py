@@ -161,6 +161,7 @@ def separation_runs():
     return results, time.monotonic() - t0
 
 
+@pytest.mark.slow
 def test_criterion_7_learning_separation(separation_runs, acceptance_report):
     results, elapsed = separation_runs
     full = [r.accuracy for r in results["full"]]
@@ -176,6 +177,7 @@ def test_criterion_7_learning_separation(separation_runs, acceptance_report):
         f"{elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_sparsification_effect(separation_runs, acceptance_report):
     results, _ = separation_runs
     gaps = []

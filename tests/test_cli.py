@@ -216,6 +216,7 @@ def test_train_unknown_config_key_is_a_config_error(workdir, tiny_data, capsys):
 
 
 @pytest.mark.parametrize("line", ["embed_dim=abc", "seed=abc", "heads=0", "tau_init=nan",
+                                  "theta=inf",
                                   pytest.param(b"heads=\xff", id="not-utf8")])
 def test_train_bad_config_value_is_one_line_config_error(workdir, tiny_data, capsys, line):
     cfg = workdir / "bad_value.cfg"

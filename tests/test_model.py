@@ -1,6 +1,8 @@
 """Model assembly, ablation equivalences, and the checkpoint container."""
 
+import gc
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from ds2ta.model import (CKPT_MAGIC, CKPT_VERSION, ModelConfig,
                          config_to_text, load_checkpoint, parse_config_text,
                          patchify, save_checkpoint)
 from ds2ta.nsad import build_table
-from ds2ta.tensorcore import make_rng
+from ds2ta.tensorcore import cross_entropy_logits, make_rng
 from ds2ta.train import AdamW
 
 
@@ -53,7 +55,7 @@ def test_config_validation():
         ModelConfig(n_classes=1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(tau_m=0.5).validate()
-    for key in ("tau_init", "u_init"):
+    for key in ("tau_init", "u_init", "tau_m", "theta", "surrogate_alpha"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match=f"{key} must be finite"):
                 ModelConfig(**{key: value}).validate()
@@ -147,6 +149,50 @@ def test_denoised_capture_matches_tables():
     for h, head in enumerate(model.blocks[0].heads):
         want = head.table[cap.raw[:, :, h].astype(np.int64)]
         assert np.array_equal(cap.denoised[:, :, h], want)
+
+
+def test_captures_hold_arrays_nothing_rewrites():
+    """Captures keep the forward's own arrays, not copies; a later
+    inference call and a training step leave them unchanged."""
+    cfg = micro_config()
+    model = SpikingTransformer(cfg)
+    frames = random_frames(cfg, batch=3)
+    capture = []
+    model.forward_logits(frames, capture=capture)
+    saved = [(c.raw.copy(), c.denoised.copy(), c.output.copy()) for c in capture]
+    model.forward_logits(random_frames(cfg, batch=3, seed=1), capture=[])
+    opt = AdamW(model.parameters(), lr_mult=10.0)
+    loss = cross_entropy_logits(model.forward(random_frames(cfg, batch=3, seed=2)),
+                                np.array([0, 1, 0]))
+    model.tape.backward(loss)
+    opt.step(1e-2)
+    model.rebuild_tables()
+    for cap, arrays in zip(capture, saved):
+        for got, want in zip((cap.raw, cap.denoised, cap.output), arrays):
+            assert np.array_equal(got, want)
+
+
+def test_training_forward_holds_only_what_backward_reads():
+    """A default-config batch-32 training forward holds at most 60 MiB.
+
+    It held 85 MiB while the LIF input currents, the head split/merge
+    copies and an int64 score index stayed alive on the tape.
+    """
+    cfg = ModelConfig()
+    model = SpikingTransformer(cfg)
+    frames = random_frames(cfg, batch=32, rate=0.05)
+    labels = np.arange(32) % cfg.n_classes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy_logits(model.forward(frames), labels)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 60 * 2 ** 20, f"training forward holds {held / 2 ** 20:.1f} MiB"
+    model.tape.backward(loss)
+    assert model.params["block0.attn.wv"].grad is not None
 
 
 def test_forward_rejects_wrong_geometry():
@@ -407,14 +453,16 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
 
 
 def test_checkpoint_rejects_nonfinite_config_value(tmp_path):
-    path = tmp_path / "nan_tau.ckpt"
+    path = tmp_path / "nonfinite.ckpt"
     save_checkpoint(SpikingTransformer(micro_config()), path)
     buf = path.read_bytes()
-    assert buf.count(b"\ntau_init=1.0\n") == 1
-    path.write_bytes(buf.replace(b"\ntau_init=1.0\n", b"\ntau_init=nan\n"))
-    with pytest.raises(FormatError, match="tau_init must be finite") as err:
-        load_checkpoint(path)
-    assert err.value.offset == 12  # the config blob, after magic, version and length
+    for key, good, bad in (("tau_init", b"1.0", b"nan"), ("theta", b"1.0", b"inf")):
+        line = f"\n{key}=".encode()
+        assert buf.count(line + good + b"\n") == 1
+        path.write_bytes(buf.replace(line + good + b"\n", line + bad + b"\n"))
+        with pytest.raises(FormatError, match=f"{key} must be finite") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12  # the config blob, after magic, version and length
 
 
 def test_checkpoint_rejects_duplicate_record(tmp_path):

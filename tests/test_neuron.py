@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ds2ta.errors import ConfigError, NumericError
-from ds2ta.neuron import (LifParams, lif_forward, surrogate_grad,
+from ds2ta.errors import ConfigError, DimensionError, NumericError
+from ds2ta.neuron import (LifParams, lif_forward, lif_linear, surrogate_grad,
                           surrogate_primitive)
-from ds2ta.tensorcore import Tape, check_gradients, make_rng, reduce_mean
+from ds2ta.tensorcore import Tape, check_gradients, make_rng, matmul, reduce_mean
 
 
 def _run(stream, params=None, smooth=False):
@@ -23,6 +23,10 @@ def test_params_validation():
         LifParams(theta=0.0)
     with pytest.raises(ConfigError):
         LifParams(surrogate_alpha=-1.0)
+    for name in ("tau_m", "theta", "surrogate_alpha"):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                LifParams(**{name: value})
 
 
 def test_leak_from_membrane_constant():
@@ -192,3 +196,52 @@ def test_kernel_matches_reference_recurrence_bitwise(shape, dtype, smooth, param
     assert np.array_equal(d_in, ref_d_in)
     if not smooth:
         assert 0 < ref_spikes.sum() < ref_spikes.size
+
+
+# ------------------------------------------------ fused spiking projection
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("params", [LifParams(),
+                                    LifParams(tau_m=3.0, theta=0.75, surrogate_alpha=1.5)])
+def test_lif_linear_equals_lif_forward_of_matmul_bitwise(dtype, smooth, params):
+    """One fused node gives the spikes, input gradient and weight gradient
+    of the two-node composition, bit for bit (leak 1/2 and 2/3)."""
+    rng = make_rng(12)
+    x = (rng.random((6, 3, 5, 8)) < 0.4).astype(dtype)
+    w = rng.normal(0.0, 1.0, size=(8, 7)).astype(dtype)
+    g = rng.normal(0.0, 1.0, size=(6, 3, 5, 7)).astype(dtype)
+    results = []
+    for fused in (False, True):
+        tape = Tape()
+        xl, wl = tape.leaf(x), tape.leaf(w)
+        out = (lif_linear(xl, wl, params, smooth=smooth) if fused
+               else lif_forward(matmul(xl, wl), params, smooth=smooth))
+        out.accumulate_grad(g)
+        for node in reversed(tape.nodes):
+            tape._run(node)
+        results.append((out.value.data, xl.grad.data, wl.grad.data))
+    for got, want in zip(results[1], results[0]):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+    if not smooth:
+        assert 0 < results[1][0].sum() < results[1][0].size
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_lif_linear_nonfinite_current_names_the_timestep():
+    x = np.ones((4, 2, 3))
+    w = np.ones((3, 2))
+    x[2, 1, 0] = np.inf
+    tape = Tape()
+    with pytest.raises(NumericError, match="non-finite synaptic input at timestep 2"):
+        lif_linear(tape.leaf(x), tape.leaf(w))
+
+
+def test_lif_linear_shape_validation():
+    tape = Tape()
+    with pytest.raises(DimensionError):
+        lif_linear(tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((2, 2))))
+    with pytest.raises(DimensionError):
+        lif_linear(tape.leaf(np.ones(3)), tape.leaf(np.ones((3, 2))))

@@ -152,6 +152,28 @@ def test_denoise_reads_each_heads_table():
     assert np.array_equal(out[:, :, 1], h1.table[raw[:, :, 1].astype(int)])
 
 
+def test_denoise_index_wider_than_one_byte():
+    """2 heads x 201 scores need a uint16 index; reads and gradients stay
+    those of each head's table and partials."""
+    rng = make_rng(5)
+    tape = Tape()
+    d = 200
+    heads = [NsadHead(tape, d, u_init=3.0), NsadHead(tape, d, u_init=150.0)]
+    heads[1].set_params(a=0.5, b=0.001)
+    raw = rng.integers(0, d + 1, size=(2, 1, 2, 6, 6)).astype(np.float64)
+    raw[0, 0, 1, 0, 0] = d
+    out = denoise(_scores(raw, d, tape), heads).value.data
+    g = rng.normal(size=raw.shape)
+    grads = tape.nodes[-1].backward(g)
+    for h, head in enumerate(heads):
+        assert np.array_equal(out[:, :, h], head.table[raw[:, :, h].astype(int)])
+        parts = _train_partials(raw[:, :, h], head.param_floats(), GATE_TEMP)
+        for i, name in enumerate(NsadHead.PARAM_NAMES):
+            terms = g[:, :, h] * parts[name]
+            assert abs(float(grads[1 + 6 * h + i]) - float(np.sum(terms))) \
+                <= 1e-12 * float(np.sum(np.abs(terms))), (h, name)
+
+
 def test_denoise_range_and_shape_validation():
     tape = Tape()
     head = NsadHead(tape, 4)

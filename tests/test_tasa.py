@@ -5,11 +5,11 @@ import pytest
 
 from ds2ta.errors import (ConfigError, DimensionError, InputError,
                           PrecisionError)
-from ds2ta.tasa import (AttentionScores, attention_scores, decay_factors,
+from ds2ta.tasa import (AttentionScores, attend, attention_scores, decay_factors,
                         explicit_sta_oracle, merge_heads, shift_decay_apply,
                         split_heads, tau_round_ste, temporal_filter)
-from ds2ta.tensorcore import (Tape, check_gradients, make_rng, mul, reduce_mean,
-                              reduce_sum)
+from ds2ta.tensorcore import (Tape, check_gradients, make_rng, matmul, mul,
+                              reduce_mean, reduce_sum, transpose)
 
 
 def test_decay_factors():
@@ -242,6 +242,51 @@ def test_scores_match_coactivation_counts():
 
     assert np.array_equal(got, got.astype(np.int64))
     assert got.min() >= 0 and got.max() <= hd
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, heads", [((8, 4, 16, 64), 4), ((3, 2, 5, 12), 3),
+                                          ((2, 3, 7, 8), 1)])
+def test_head_views_equal_split_matmul_merge_bitwise(dtype, shape, heads):
+    """attention_scores and attend read heads through views; forward and
+    backward equal the split/matmul/merge composition bit for bit on spike
+    queries and keys and real-valued maps, values and gradients."""
+    rng = make_rng(9, heads)
+    t, b, n, _ = shape
+    q, k = ((rng.random(shape) < 0.3).astype(dtype) for _ in range(2))
+    v = rng.normal(size=shape).astype(dtype)
+    att = rng.normal(size=(t, b, heads, n, n)).astype(dtype)
+    g_scores = rng.normal(size=att.shape).astype(dtype)
+    g_ctx = rng.normal(size=shape).astype(dtype)
+    results = []
+    for views in (False, True):
+        tape = Tape()
+        ql, kl, vl, al = (tape.leaf(x) for x in (q, k, v, att))
+        if views:
+            scores = attention_scores(ql, kl, heads).scores
+            ctx = attend(al, vl, heads)
+        else:
+            kt = transpose(split_heads(kl, heads), (0, 1, 2, 4, 3))
+            scores = matmul(split_heads(ql, heads), kt)
+            ctx = merge_heads(matmul(al, split_heads(vl, heads)))
+        scores.accumulate_grad(g_scores)
+        ctx.accumulate_grad(g_ctx)
+        for node in reversed(tape.nodes):
+            tape._run(node)
+        results.append([scores.value.data, ctx.value.data]
+                       + [leaf.grad.data for leaf in (ql, kl, vl, al)])
+    for got, want in zip(results[1], results[0]):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+
+def test_attend_shape_validation():
+    tape = Tape()
+    v = tape.leaf(np.ones((2, 1, 3, 4)))
+    with pytest.raises(DimensionError):
+        attend(tape.leaf(np.ones((2, 1, 3, 3, 3))), v, 2)
+    with pytest.raises(DimensionError):
+        attend(tape.leaf(np.ones((2, 1, 2, 4, 4))), v, 2)
 
 
 def test_scores_shape_validation():

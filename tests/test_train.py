@@ -192,6 +192,26 @@ def test_train_is_reproducible():
     assert [r["train_acc"] for r in a] == [r["train_acc"] for r in b]
 
 
+def test_epoch_records_report_gradient_health():
+    def run(grad_clip, **overrides):
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=3, grad_clip=grad_clip)
+        return train(micro_model(**overrides), micro_data(), cfg)
+
+    records = run(5.0)
+    assert records == run(5.0)  # deterministic, new fields included
+    for r in records:
+        assert 0.0 < r["grad_norm_mean"] <= r["grad_norm_max"]
+        assert 0.0 <= r["clip_frac"] <= 1.0
+        # The denoiser passes no gradient to the scores, so the query and
+        # key projections get none.
+        assert r["no_grad_params"] == ["block0.attn.wq", "block0.attn.wk"]
+    assert {r["clip_frac"] for r in run(1e-9)} == {1.0}
+    assert {r["clip_frac"] for r in run(1e9)} == {0.0}
+    off = run(5.0, nsad_enabled=False)[0]["no_grad_params"]
+    assert off == [f"block0.attn.nsad{h}.{p}" for h in range(2)
+                   for p in ("a", "b", "c", "dw", "e", "u")]
+
+
 def test_train_moves_the_denoiser_tables():
     model = micro_model()
     before = [head.table.copy() for head in model.blocks[0].heads]
