@@ -14,6 +14,7 @@ interest is the relative reduction between sparsity levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,8 +46,8 @@ def energy_nj(op_count: int, sparsity_value: float, e_ac_pj: float = E_AC_PJ_DEF
     """Energy in nanojoule for a given accumulate count and zero fraction."""
     if not 0.0 <= sparsity_value <= 1.0:
         raise InputError(f"sparsity must be in [0, 1], got {sparsity_value}")
-    if e_ac_pj <= 0:
-        raise InputError(f"per-accumulate energy must be positive, got {e_ac_pj}")
+    if not (math.isfinite(e_ac_pj) and e_ac_pj > 0):
+        raise InputError(f"per-accumulate energy must be positive and finite, got {e_ac_pj}")
     return e_ac_pj * op_count * (1.0 - sparsity_value) / 1000.0
 
 

@@ -5,11 +5,14 @@ blocks -> mean pool over time and tokens -> linear classifier.  Each
 encoder block runs windowed-decay attention (query/key/value projections
 through LIF, integer score matrices, optional table denoiser, value
 mixing, output projection through LIF, spike residual) followed by a
-two-layer LIF MLP with its own spike residual.  Every projection into a
-LIF is one fused ``lif_linear`` node that saves no input current, and the
-attention reads its heads through strided views, so a training forward
-holds only arrays that some backward reads.  Residual adds are plain
-elementwise sums of spike trains, so activations between blocks are small
+two-layer LIF MLP with its own spike residual.  Each spiking site is one
+``lif_linear`` node: the embedding, query, key and value are single
+projections, and the output projection and the MLP take their residual
+into the node, so the node keeps membranes and no spike train.  The
+frames are a constant input that gets no gradient, and the attention
+reads its heads through strided views, so a training forward holds only
+arrays that some backward reads.  Residual sums are plain elementwise
+sums of spike trains, so activations between blocks are small
 non-negative integers rather than strictly binary.
 
 The model trains and infers in float32 by default; ``dtype=np.float64``
@@ -36,8 +39,8 @@ from .errors import ConfigError, FormatError
 from .neuron import LifParams, lif_linear
 from .nsad import NsadHead, denoise
 from .tasa import attend, attention_scores, tau_round_ste, temporal_filter
-from .tensorcore import (FLOAT_DTYPES, DiffTensor, Tape, add, bias_add, make_rng,
-                         matmul, reduce_mean)
+from .tensorcore import (FLOAT_DTYPES, DiffTensor, Tape, bias_add, make_rng, matmul,
+                         reduce_mean)
 
 CKPT_MAGIC = b"DS2T"
 CKPT_VERSION = 2
@@ -284,8 +287,9 @@ class SpikingTransformer:
                               f"configured geometry {cfg.timesteps}x{cfg.in_channels}"
                               f"x{cfg.img_size}x{cfg.img_size}")
         lifp = LifParams(cfg.tau_m, cfg.theta, cfg.surrogate_alpha)
-        h = self.tape.leaf(x, dtype=self.dtype)
-        s = lif_linear(h, self.params["embed.w"], lifp, smooth=smooth)
+        # The frames are a constant input: they get no gradient.
+        x = np.asarray(x, dtype=self.dtype)
+        s = lif_linear(x, self.params["embed.w"], lifp, smooth=smooth)
         for idx, blk in enumerate(self.blocks):
             s = self._encoder_block(s, idx, blk, lifp, capture, smooth)
         pooled = reduce_mean(s, axes=(0, 2))
@@ -310,11 +314,8 @@ class SpikingTransformer:
         ctx = attend(att, v, cfg.heads)
         if tasa_on:
             ctx = temporal_filter(ctx, cfg.t_aw, tau_int)
-        o = lif_linear(ctx, blk.wo, lifp, smooth=smooth)
-        s = add(s, o)
-        m = lif_linear(s, blk.w1, lifp, smooth=smooth)
-        m = lif_linear(m, blk.w2, lifp, smooth=smooth)
-        out = add(s, m)
+        s = lif_linear(ctx, blk.wo, lifp, smooth=smooth, residual=s)
+        out = lif_linear(s, (blk.w1, blk.w2), lifp, smooth=smooth, residual=s)
         if capture is not None:
             # The arrays themselves: nothing writes to a node's output.
             capture.append(BlockAttentionCapture(

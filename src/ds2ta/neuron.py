@@ -15,11 +15,15 @@ the surrogate (``smooth=True``), which makes the whole recurrence
 differentiable so central finite differences agree with the tape.
 
 The model drives every LIF site through a projection, so it calls
-:func:`lif_linear`, which fuses ``x @ w`` and the recurrence into one tape
-node: the current is a local array that the membrane overwrites in place,
-so a training forward keeps membrane and spikes but no current.
-:func:`lif_forward` runs the same recurrence and backward kernels on a
-given current.
+:func:`lif_linear`: one tape node for a chain of projections, each into a
+LIF, plus an optional residual sum.  Each current is a local array that
+its membrane overwrites in place.  A spike is a function of its membrane
+(``V >= theta``, or the surrogate primitive when smooth), so the node
+saves membranes and no spike train: the backward re-fires the reset
+factor from V, and a chain's hidden spikes only while it forms their
+weight gradient.  With the tape not recording, the spikes overwrite the
+current and the membrane keeps two rolling rows.  :func:`lif_forward`
+runs the same kernels on a given current.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .tensorcore import DiffTensor, _tape_of, dense_backward, dense_forward
+from .tensorcore import (DiffTensor, _tape_of, dense_forward, dense_input_grad,
+                         dense_weight_grad)
 
 DEFAULT_TAU_M = 2.0
 DEFAULT_THETA = 1.0
@@ -90,45 +95,63 @@ def _check_current(x: np.ndarray) -> None:
         raise NumericError(f"non-finite synaptic input at timestep {t}")
 
 
-def _recurrence(x: np.ndarray, membrane: np.ndarray, params: LifParams,
-                smooth: bool) -> np.ndarray:
-    """Fill ``membrane`` with V over the current ``x``; return the spikes.
+def _fire(v: np.ndarray, params: LifParams, smooth: bool, out: np.ndarray) -> np.ndarray:
+    """Write the spikes of the membrane ``v`` into ``out``."""
+    if smooth:
+        out[...] = surrogate_primitive(v - params.theta, params.surrogate_alpha)
+    else:
+        np.greater_equal(v, params.theta, out=out)
+    return out
 
-    ``membrane`` may be ``x`` itself: row t of the current is read only
-    to write row t of the membrane, so the recurrence can run in place.
+
+def _recurrence(x: np.ndarray, params: LifParams, smooth: bool,
+                keep_membrane: bool) -> np.ndarray:
+    """Run the recurrence over the current ``x`` in place; return the spikes.
+
+    With ``keep_membrane`` the membrane V overwrites ``x`` and the spikes
+    are a fresh array.  Without it the spikes overwrite ``x`` and V lives
+    in two rolling rows.  Either way row t of the current is read only to
+    write row t of the result.
     """
     steps = x.shape[0]
-    leak, theta, alpha = params.leak, params.theta, params.surrogate_alpha
-    spikes = np.empty_like(x)
+    leak = params.leak
     # The kernels below work on [T, M] views, whose rows are arrays even
     # for a 1-D input.
     xf = x.reshape(steps, -1)
-    vf = membrane.reshape(steps, -1)
+    if keep_membrane:
+        spikes = np.empty_like(x)
+        vf = xf
+    else:
+        spikes = x
+        vf = np.empty((2,) + xf.shape[1:], dtype=x.dtype)
     sf = spikes.reshape(steps, -1)
+    rows = len(vf)
     # V[t] = (leak * V[t-1]) * (1 - S[t-1]) + I[t], the product formed in
     # a scratch row and then added to I[t] (addition commutes bitwise);
     # from rest, V[0] = I[0] + 0.
     reset = np.empty_like(xf[0])
     decayed = np.empty_like(xf[0])
     for t in range(steps):
-        v = vf[t]
+        v = vf[t % rows]
         if t == 0:
             np.add(xf[0], 0.0, out=v)
         else:
             np.subtract(1.0, sf[t - 1], out=reset)
-            np.multiply(vf[t - 1], leak, out=decayed)
+            np.multiply(vf[(t - 1) % rows], leak, out=decayed)
             np.multiply(decayed, reset, out=decayed)
             np.add(decayed, xf[t], out=v)
-        if smooth:
-            sf[t] = surrogate_primitive(v - theta, alpha)
-        else:
-            np.greater_equal(v, theta, out=sf[t])
+        _fire(v, params, smooth, sf[t])
     return spikes
 
 
-def _recurrence_backward(g: np.ndarray, membrane: np.ndarray, spikes: np.ndarray,
-                         params: LifParams) -> np.ndarray:
-    """dL/dI for the upstream spike gradient ``g``, unrolled through time."""
+def _recurrence_backward(g: np.ndarray, membrane: np.ndarray, params: LifParams,
+                         smooth: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """dL/dI for the upstream spike gradient ``g``, unrolled through time.
+
+    The reset factor 1 - S[t] is re-fired from V[t], bitwise the spikes
+    the forward produced.  The result goes to ``out``, which may be ``g``
+    itself: row t of ``g`` is read before row t of the result is written.
+    """
     steps = g.shape[0]
     leak, theta, alpha = params.leak, params.theta, params.surrogate_alpha
     # surrogate_grad(v) with its constants folded: halving is exact, so
@@ -140,11 +163,10 @@ def _recurrence_backward(g: np.ndarray, membrane: np.ndarray, spikes: np.ndarray
     #         + a_next * (leak * (1 - S[t]))
     # with a_next = dL/dV[t+1], written into rows of d_in and two scratch
     # rows.  At the last step a_next is zero.
-    d_in = np.empty_like(membrane)
+    d_in = np.empty_like(membrane) if out is None else out
     df = d_in.reshape(steps, -1)
     gf = g.reshape(steps, -1)
     vf = membrane.reshape(steps, -1)
-    sf = spikes.reshape(steps, -1)
     a_spike = np.empty_like(vf[0])
     tmp = np.empty_like(vf[0])
     for t in range(steps - 1, -1, -1):
@@ -162,7 +184,7 @@ def _recurrence_backward(g: np.ndarray, membrane: np.ndarray, spikes: np.ndarray
         np.multiply(a_next, a_spike, out=a_spike)
         np.subtract(gf[t], a_spike, out=a_spike)
         np.multiply(a_spike, tmp, out=a_spike)
-        np.subtract(1.0, sf[t], out=tmp)
+        np.subtract(1.0, _fire(v, params, smooth, tmp), out=tmp)
         np.multiply(tmp, leak, out=tmp)
         np.multiply(a_next, tmp, out=tmp)
         np.add(a_spike, tmp, out=a_v)
@@ -181,11 +203,11 @@ def lif_forward(current: DiffTensor, params: LifParams | None = None, *,
         params = LifParams()
     x = current.value.data
     _check_current(x)
-    membrane = np.empty_like(x)
-    spikes = _recurrence(x, membrane, params, smooth)
+    membrane = x.copy()
+    spikes = _recurrence(membrane, params, smooth, keep_membrane=True)
 
     def backward(g):
-        return (_recurrence_backward(g, membrane, spikes, params),)
+        return (_recurrence_backward(g, membrane, params, smooth),)
 
     out = current.tape.record("lif", (current,), spikes, backward)
     if return_state:
@@ -193,25 +215,69 @@ def lif_forward(current: DiffTensor, params: LifParams | None = None, *,
     return out
 
 
-def lif_linear(x: DiffTensor, w: DiffTensor, params: LifParams | None = None, *,
-               smooth: bool = False) -> DiffTensor:
-    """Spikes of ``lif_forward(matmul(x, w))`` as one tape node.
+def lif_linear(x, ws, params: LifParams | None = None, *, smooth: bool = False,
+               residual: DiffTensor | None = None) -> DiffTensor:
+    """A chain of spiking projections, plus an optional residual, as one node.
 
-    The current ``x @ w`` is a local array that the membrane overwrites in
-    place, so the node saves the membrane and the spikes but no current.
-    Spikes and gradients are bitwise those of the two-node composition.
+    ``ws`` is one weight or a sequence of them: the first projects ``x``,
+    each later one the spikes of the layer before, and every projection
+    drives a LIF.  The output is the last layer's spikes, plus ``residual``
+    if given.  Output and gradients are bitwise those of
+    ``add(residual, lif_forward(matmul(... lif_forward(matmul(x, w1)) ..., wn)))``.
+    ``x`` may be a plain array, a constant that gets no gradient.
+
+    While the tape records, each current is a local array that its
+    membrane overwrites in place, and the node saves the input and the
+    membranes and nothing else: the backward re-fires the hidden spikes
+    from their membranes only to form the weight gradients.  While it does
+    not record, the spikes overwrite each current and the membrane lives
+    in two rolling rows, so a site holds one array.
     """
     if params is None:
         params = LifParams()
-    tape = _tape_of(x, w)
-    xv, wv = x.value.data, w.value.data
-    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0]:
-        raise DimensionError(f"cannot project {xv.shape} through weights {wv.shape}")
-    membrane = dense_forward(xv, wv)
-    _check_current(membrane)
-    spikes = _recurrence(membrane, membrane, params, smooth)
+    ws = (ws,) if isinstance(ws, DiffTensor) else tuple(ws)
+    constant = not isinstance(x, DiffTensor)
+    xv = x if constant else x.value.data
+    width = xv.shape[-1] if xv.ndim >= 2 else None
+    for w in ws:
+        if w.value.data.ndim != 2 or w.shape[0] != width:
+            raise DimensionError(f"cannot project {xv.shape} through weights "
+                                 f"{[w.shape for w in ws]}")
+        width = w.shape[1]
+    inputs = ws if constant else (x,) + ws
+    if residual is not None:
+        if residual.shape != xv.shape[:-1] + (width,):
+            raise DimensionError(f"residual {residual.shape} does not match the "
+                                 f"output {xv.shape[:-1] + (width,)}")
+        if residual is not x:
+            inputs += (residual,)
+    tape = _tape_of(*inputs)
+    membranes = []
+    spikes = xv
+    for w in ws:
+        current = dense_forward(spikes, w.value.data)
+        _check_current(current)
+        spikes = _recurrence(current, params, smooth, keep_membrane=tape.recording)
+        if tape.recording:
+            membranes.append(current)
+    if residual is not None:
+        np.add(spikes, residual.value.data, out=spikes)
 
     def backward(g):
-        return dense_backward(xv, wv, _recurrence_backward(g, membrane, spikes, params))
+        dws = [None] * len(ws)
+        dv = _recurrence_backward(g, membranes[-1], params, smooth)
+        for i in range(len(ws) - 1, 0, -1):
+            # The hidden spikes live only for their weight gradient.
+            v = membranes[i - 1]
+            dws[i] = dense_weight_grad(_fire(v, params, smooth, np.empty_like(v)), dv)
+            dv = dense_input_grad(dv, ws[i].value.data)
+            _recurrence_backward(dv, v, params, smooth, out=dv)
+        dws[0] = dense_weight_grad(xv, dv)
+        grads = dws if constant else [dense_input_grad(dv, ws[0].value.data)] + dws
+        if residual is x:
+            np.add(grads[0], g, out=grads[0])
+        elif residual is not None:
+            grads.append(g)
+        return grads
 
-    return tape.record("lif_linear", (x, w), spikes, backward)
+    return tape.record("lif_linear", inputs, spikes, backward)

@@ -157,10 +157,14 @@ def replica_sweep() -> float:
     clamp the exponent, filter, multiply) on 100 random configurations,
     half of them with fractional exponents.  On each, the fused spiking
     projection ``lif_linear`` the block runs must also give bitwise the
-    spikes of ``lif_forward`` over that product.  Returns the worst
-    absolute difference.
+    spikes of ``lif_forward`` over that product, and its depth-2 residual
+    chain (the MLP's form) bitwise the output of the ``add``,
+    ``lif_forward`` and ``matmul`` composition.  The chain's weights come
+    from a stream of their own, so the other draws do not depend on it.
+    Returns the worst absolute difference.
     """
     rng = make_rng(37)
+    chain_rng = make_rng(37, 1)
     worst = 0.0
     for trial in range(100):
         t = int(rng.integers(1, 7))
@@ -182,6 +186,13 @@ def replica_sweep() -> float:
         fused = lif_linear(filtered, weight).value.data
         assert np.array_equal(fused, lif_forward(projected).value.data), \
             f"trial {trial}: lif_linear spikes differ from lif_forward(matmul(...))"
+        hidden = int(chain_rng.integers(1, 17))
+        w1 = tape.leaf(chain_rng.normal(size=(d_in, hidden)))
+        w2 = tape.leaf(chain_rng.normal(size=(hidden, d_in)))
+        chained = lif_linear(filtered, (w1, w2), residual=filtered).value.data
+        composed = add(filtered, lif_forward(matmul(lif_forward(matmul(filtered, w1)), w2)))
+        assert np.array_equal(chained, composed.value.data), \
+            f"trial {trial}: residual lif_linear chain differs from its composition"
         worst = max(worst, diff)
     return worst
 

@@ -295,12 +295,14 @@ def dense_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (flat @ w).reshape(x.shape[:-1] + (w.shape[-1],))
 
 
-def dense_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray):
-    """Gradients (dx, dw) of :func:`dense_forward` for the upstream ``g``."""
-    gf = g.reshape(-1, w.shape[-1])
-    dx = (gf @ w.T).reshape(x.shape)
-    dw = x.reshape(-1, x.shape[-1]).T @ gf
-    return dx, dw
+def dense_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """dx of :func:`dense_forward` for the upstream ``g``."""
+    return (g.reshape(-1, w.shape[-1]) @ w.T).reshape(g.shape[:-1] + (w.shape[0],))
+
+
+def dense_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dw of :func:`dense_forward` for the upstream ``g``."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -319,7 +321,7 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         out = dense_forward(x, y)
 
         def backward(g):
-            return dense_backward(x, y, g)
+            return dense_input_grad(g, y), dense_weight_grad(x, g)
     else:
         out = x @ y
 

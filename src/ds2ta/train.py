@@ -45,6 +45,11 @@ class TrainConfig:
     log_path: str | None = None
 
     def validate(self) -> None:
+        # NaN passes every comparison below and inf satisfies them, so
+        # finiteness is checked first.
+        for name in ("lr_init", "lr_min", "weight_decay", "grad_clip", "nsad_lr_mult"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs ({self.epochs}) and batch_size "
                               f"({self.batch_size}) must be >= 1")

@@ -52,8 +52,9 @@ def test_energy_validation():
         energy_nj(100, 1.5)
     with pytest.raises(InputError):
         energy_nj(100, -0.1)
-    with pytest.raises(InputError):
-        energy_nj(100, 0.5, e_ac_pj=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            energy_nj(100, 0.5, e_ac_pj=bad)
 
 
 def test_energy_ratio_from_sparsity_pair():

@@ -246,6 +246,17 @@ def test_train_nonfinite_init_flag_is_a_config_error(workdir, tiny_data, capsys,
     assert f"configuration error: {flag[2:].replace('-', '_')} must be finite" in err[0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_nonfinite_lr_is_a_config_error(workdir, tiny_data, capsys, value):
+    out = workdir / "nonfinite_lr.ckpt"
+    rc = cli.main(["train", "--data", str(tiny_data), "--out", str(out),
+                   "--epochs", "1", "--batch-size", "8", "--lr", value])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ds2ta: configuration error: lr_init must be finite, got {value}"]
+    assert not out.exists()
+
+
 # --------------------------------------------------- eval / analyze / export
 
 
@@ -334,6 +345,19 @@ def test_analyze_writes_report(ckpt, tiny_data, workdir, capsys):
     assert "e_ac_pj=0.9" in text and "[block 0]" in text
     assert text in capsys.readouterr().out  # report is mirrored to stdout
     assert (workdir / "report.txt.manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_analyze_rejects_a_nonpositive_or_nonfinite_energy(ckpt, tiny_data, workdir,
+                                                          capsys, value):
+    out = workdir / f"report_{value}.txt"
+    rc = cli.main(["analyze", "--ckpt", str(ckpt), "--data", str(tiny_data),
+                   "--out", str(out), "--e-ac", value])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "data error: per-accumulate energy must be positive and finite" in err[0]
+    assert not out.exists()
 
 
 def test_export_attn_writes_files(ckpt, tiny_data, workdir, capsys):

@@ -195,6 +195,56 @@ def test_training_forward_holds_only_what_backward_reads():
     assert model.params["block0.attn.wv"].grad is not None
 
 
+def _traced_peak(run) -> float:
+    """Peak traced memory of ``run()`` in MiB, above what was live before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode, bound", [("tasa", 50.0), ("spatial_only", 44.0)])
+def test_training_step_keeps_membranes_not_spike_trains(mode, bound):
+    """A default-config batch-32 forward and backward peaks at most at
+    ``bound`` MiB.
+
+    It peaked at 59.9 MiB (spatial only: 53.4) while every LIF site kept its
+    spike train next to its membrane, the residual adds held the output
+    projection's and the MLP's spikes, and the input frames were a leaf
+    that received a gradient.
+    """
+    cfg = ModelConfig(attention_mode=mode, nsad_enabled=mode == "tasa")
+    model = SpikingTransformer(cfg)
+    frames = random_frames(cfg, batch=32, rate=0.05)
+    labels = np.arange(32) % cfg.n_classes
+
+    def step():
+        model.tape.backward(cross_entropy_logits(model.forward(frames), labels))
+
+    peak = _traced_peak(step)
+    assert peak <= bound, f"training step peaks at {peak:.1f} MiB"
+    assert model.params["block1.mlp.w1"].grad is not None
+
+
+def test_inference_holds_one_array_per_spiking_site():
+    """``forward_logits`` at batch 64 with a capture peaks at most at 40 MiB.
+
+    It peaked at 43.5 MiB while each site kept its whole membrane next to
+    its spikes.
+    """
+    cfg = ModelConfig()
+    model = SpikingTransformer(cfg)
+    frames = random_frames(cfg, batch=64, rate=0.05)
+    capture = []
+    peak = _traced_peak(lambda: model.forward_logits(frames, capture=capture))
+    assert peak <= 40.0, f"forward_logits peaks at {peak:.1f} MiB"
+    assert len(capture) == cfg.blocks
+
+
 def test_forward_rejects_wrong_geometry():
     cfg = micro_config()
     model = SpikingTransformer(cfg)

@@ -6,7 +6,7 @@ import pytest
 from ds2ta.errors import ConfigError, DimensionError, NumericError
 from ds2ta.neuron import (LifParams, lif_forward, lif_linear, surrogate_grad,
                           surrogate_primitive)
-from ds2ta.tensorcore import Tape, check_gradients, make_rng, matmul, reduce_mean
+from ds2ta.tensorcore import Tape, add, check_gradients, make_rng, matmul, reduce_mean
 
 
 def _run(stream, params=None, smooth=False):
@@ -229,6 +229,89 @@ def test_lif_linear_equals_lif_forward_of_matmul_bitwise(dtype, smooth, params):
         assert 0 < results[1][0].sum() < results[1][0].size
 
 
+def _chain_case(dtype, depth, residual, smooth, fused, recording=True):
+    """Output and input gradients of a residual spiking chain, fused or as
+    its ``add``/``lif_forward``/``matmul`` composition.  The hidden width 9
+    differs from the input and output width 5."""
+    rng = make_rng(13, depth)
+    params = LifParams(tau_m=3.0, theta=0.75, surrogate_alpha=1.5)
+    x = (rng.random((6, 3, 4, 5)) < 0.4).astype(dtype)
+    other = rng.integers(0, 3, size=(6, 3, 4, 5)).astype(dtype)
+    widths = [5, 9, 5][:depth] + [5]
+    ws = [rng.normal(0.0, 1.0, size=(a, b)).astype(dtype) for a, b in zip(widths, widths[1:])]
+    g = rng.normal(0.0, 1.0, size=(6, 3, 4, 5)).astype(dtype)
+    tape = Tape()
+    tape.recording = recording
+    xl, ol = tape.leaf(x), tape.leaf(other)
+    wl = [tape.leaf(w) for w in ws]
+    res = {"none": None, "x": xl, "other": ol}[residual]
+    if fused:
+        out = lif_linear(xl, wl, params, smooth=smooth, residual=res)
+    else:
+        out = xl
+        for w in wl:
+            out = lif_forward(matmul(out, w), params, smooth=smooth)
+        if res is not None:
+            out = add(res, out)
+    if not recording:
+        assert not tape.nodes
+        return (out.value.data,)
+    out.accumulate_grad(g)
+    for node in reversed(tape.nodes):
+        tape._run(node)
+    leaves = [xl] + wl + ([ol] if residual == "other" else [])
+    return (out.value.data,) + tuple(leaf.grad.data for leaf in leaves)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("residual", ["none", "x", "other"])
+def test_lif_linear_chain_equals_its_composition_bitwise(dtype, smooth, depth, residual):
+    """The one-node chain gives the output and every input gradient of
+    ``add(residual, lif_forward(matmul(...)))`` bit for bit, though it keeps
+    no spikes and re-fires the hidden ones and the reset from membranes."""
+    want = _chain_case(dtype, depth, residual, smooth, fused=False)
+    got = _chain_case(dtype, depth, residual, smooth, fused=True)
+    assert len(got) == len(want) == 2 + depth + (residual == "other")
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert np.array_equal(a, b)
+    if not smooth and residual == "none":
+        assert 0 < got[0].sum() < got[0].size
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("residual", ["none", "x", "other"])
+def test_lif_linear_without_recording_gives_the_recorded_output(dtype, smooth, depth,
+                                                                residual):
+    """With recording off, the spikes overwrite each current and the
+    membrane lives in two rows; the output is bitwise the recorded one."""
+    (got,) = _chain_case(dtype, depth, residual, smooth, fused=True, recording=False)
+    want = _chain_case(dtype, depth, residual, smooth, fused=True)[0]
+    assert np.array_equal(got, want)
+
+
+def test_lif_linear_constant_input_gets_no_gradient():
+    """A plain-array input is not a node input: the node returns only the
+    weight gradient, bitwise the one a leaf input gives."""
+    rng = make_rng(14)
+    x = (rng.random((5, 2, 3, 4)) < 0.5).astype(np.float32)
+    w = rng.normal(0.0, 1.0, size=(4, 6)).astype(np.float32)
+    g = rng.normal(0.0, 1.0, size=(5, 2, 3, 6)).astype(np.float32)
+    dws = []
+    for constant in (True, False):
+        tape = Tape()
+        wl = tape.leaf(w)
+        lif_linear(x if constant else tape.leaf(x), wl)
+        node = tape.nodes[-1]
+        assert len(node.inputs) == (1 if constant else 2)
+        dws.append(node.backward(g)[-1])
+    assert np.array_equal(dws[0], dws[1])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_lif_linear_nonfinite_current_names_the_timestep():
     x = np.ones((4, 2, 3))
@@ -245,3 +328,9 @@ def test_lif_linear_shape_validation():
         lif_linear(tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((2, 2))))
     with pytest.raises(DimensionError):
         lif_linear(tape.leaf(np.ones(3)), tape.leaf(np.ones((3, 2))))
+    # a chain whose widths do not meet, and a residual of the wrong shape
+    x, w = tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((3, 2)))
+    with pytest.raises(DimensionError):
+        lif_linear(x, (w, tape.leaf(np.ones((3, 2)))))
+    with pytest.raises(DimensionError):
+        lif_linear(x, w, residual=x)

@@ -154,6 +154,11 @@ def test_train_config_validation():
         TrainConfig(lr_init=1e-4, lr_min=1e-3).validate()
     with pytest.raises(ConfigError):
         TrainConfig(grad_clip=0.0).validate()
+    # NaN passes the range tests and inf satisfies them
+    for name in ("lr_init", "lr_min", "weight_decay", "grad_clip", "nsad_lr_mult"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                TrainConfig(**{name: bad}).validate()
 
 
 def test_train_records_and_log(tmp_path):
