@@ -11,7 +11,11 @@ projections, and the output projection and the MLP take their residual
 into the node, so the node keeps membranes and no spike train.  The
 frames are a constant input that gets no gradient, and the attention
 reads its heads through strided views, so a training forward holds only
-arrays that some backward reads.  Residual sums are plain elementwise
+arrays that some backward reads.  The forward itself holds no activation
+past its last reader: each half of a block (attention, MLP) is one call
+that releases its input once the residual sum has read it, so an
+inference forward, whose tape keeps nothing, frees each activation as
+soon as it is dead.  Residual sums are plain elementwise
 sums of spike trains, so activations between blocks are small
 non-negative integers rather than strictly binary.
 
@@ -290,12 +294,26 @@ class SpikingTransformer:
         # The frames are a constant input: they get no gradient.
         x = np.asarray(x, dtype=self.dtype)
         s = lif_linear(x, self.params["embed.w"], lifp, smooth=smooth)
+        del x
+        # Each half of a block is one call, so that its input is released
+        # as soon as its residual sum has read it.
         for idx, blk in enumerate(self.blocks):
-            s = self._encoder_block(s, idx, blk, lifp, capture, smooth)
+            maps = None if capture is None else []
+            s = self._attention(s, blk, lifp, maps, smooth)
+            s = lif_linear(s, (blk.w1, blk.w2), lifp, smooth=smooth, residual=s)
+            if capture is not None:
+                capture.append(BlockAttentionCapture(idx, *maps, s.value.data))
         pooled = reduce_mean(s, axes=(0, 2))
         return bias_add(matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
-    def _encoder_block(self, s, idx, blk, lifp, capture, smooth) -> DiffTensor:
+    def _attention(self, s, blk, lifp, maps, smooth) -> DiffTensor:
+        """The attention half of an encoder block, residual included.
+
+        Each activation is dropped after its last reader, so a forward that
+        does not record holds only what is still to be read.  ``maps``, if
+        given, receives the raw and the denoised maps as they are produced:
+        the arrays themselves, as nothing writes to a node's output.
+        """
         cfg = self.cfg
         tasa_on = cfg.attention_mode == "tasa"
         if tasa_on:
@@ -306,28 +324,30 @@ class SpikingTransformer:
         q = lif_linear(f, blk.wq, lifp, smooth=smooth)
         k = lif_linear(f, blk.wk, lifp, smooth=smooth)
         v = lif_linear(f, blk.wv, lifp, smooth=smooth)
+        del f
         sc = attention_scores(q, k, cfg.heads)
-        if cfg.nsad_enabled:
-            att = denoise(sc, blk.heads, continuous=smooth)
-        else:
-            att = sc.scores
+        del q, k
+        if maps is not None:
+            maps.append(sc.scores.value.data)
+        att = denoise(sc, blk.heads, continuous=smooth) if cfg.nsad_enabled else sc.scores
+        del sc
+        if maps is not None:
+            maps.append(att.value.data)
         ctx = attend(att, v, cfg.heads)
+        del att, v
         if tasa_on:
             ctx = temporal_filter(ctx, cfg.t_aw, tau_int)
-        s = lif_linear(ctx, blk.wo, lifp, smooth=smooth, residual=s)
-        out = lif_linear(s, (blk.w1, blk.w2), lifp, smooth=smooth, residual=s)
-        if capture is not None:
-            # The arrays themselves: nothing writes to a node's output.
-            capture.append(BlockAttentionCapture(
-                idx, sc.scores.value.data, att.value.data, out.value.data))
-        return out
+        return lif_linear(ctx, blk.wo, lifp, smooth=smooth, residual=s)
 
     def forward_logits(self, frames: np.ndarray, capture: list | None = None) -> np.ndarray:
         """Inference: the logits array of ``forward``, recording no graph.
 
         Recording is off for the whole call, so the tape gains no node and
-        each activation is freed as soon as the forward stops referring to
-        it.  Recording is restored even if the forward raises.
+        nothing but the forward's own locals refers to an activation; the
+        forward drops each of them after its last reader, so the live set
+        is at most a few site arrays (the MLP's hidden spikes at the
+        largest).  A ``capture`` keeps the maps and block outputs it
+        receives.  Recording is restored even if the forward raises.
         """
         tape = self.tape
         was_recording, tape.recording = tape.recording, False

@@ -87,12 +87,16 @@ def surrogate_primitive(v, alpha: float = DEFAULT_ALPHA):
 def _check_current(x: np.ndarray) -> None:
     if x.ndim < 1:
         raise ConfigError("synaptic input needs a leading time axis")
-    # min + max is finite iff every element is; this avoids materialising a
-    # boolean mask on the hot path.  Locate the offending step only on failure.
-    if not np.isfinite(x.min() + x.max()):
-        bad = ~np.isfinite(x)
-        t = int(np.argwhere(bad.reshape(x.shape[0], -1).any(axis=1))[0, 0])
-        raise NumericError(f"non-finite synaptic input at timestep {t}")
+    # A sum with a non-finite term is not finite, so one reduction clears the
+    # hot path without a boolean mask.  A sum of finite terms can overflow,
+    # so only the mask, built on failure, decides and locates the bad step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(x, axis=None)
+    if not np.isfinite(total):
+        bad_steps = ~np.isfinite(x).reshape(x.shape[0], -1).all(axis=1)
+        if bad_steps.any():
+            raise NumericError(f"non-finite synaptic input at timestep "
+                               f"{int(np.argmax(bad_steps))}")
 
 
 def _fire(v: np.ndarray, params: LifParams, smooth: bool, out: np.ndarray) -> np.ndarray:

@@ -155,12 +155,15 @@ def denoise(scores: AttentionScores, heads: list[NsadHead], *,
     # Integral scores take one of d + 1 values per head, so both the table
     # read and the backward work on flat indices s + h*(d + 1) into the
     # [H, d + 1] grid of (head, score) pairs, saved in the narrowest
-    # unsigned type that holds them (uint8 at the default sizes).
-    s_int = s_arr.astype(np.int64)
+    # unsigned type that holds them (uint8 at the default sizes).  The range
+    # check above bounds an integral score by d, so it survives the cast
+    # exactly, and a score the cast changes (a fraction, a NaN) is not
+    # integral; the cast of a NaN is what would warn.
+    index_type = np.min_scalar_type(len(heads) * (d + 1))
+    with np.errstate(invalid="ignore"):
+        s_int = s_arr.astype(index_type)
     integral = np.array_equal(s_int, s_arr)
     if integral:
-        index_type = np.min_scalar_type(len(heads) * (d + 1))
-        s_int = s_int.astype(index_type)
         s_int += (np.arange(len(heads), dtype=index_type) * (d + 1)).reshape(-1, 1, 1)
     if continuous:
         out = np.stack([f_eval(s_arr[:, :, h], head, "train")

@@ -251,15 +251,21 @@ class Tape:
             raise ValueError(f"node {node.name} returned {len(grads)} gradients "
                              f"for {len(node.inputs)} inputs")
         grads = [None if g is None else np.asarray(g) for g in grads]
+        # Only arrays of one owner can share memory, so each gradient is
+        # compared with the others of its owner's group alone.
+        owners = [None if g is None else id(_memory_owner(g)) for g in grads]
+        groups: dict[int, list[int]] = {}
+        for i, owner in enumerate(owners):
+            if owner is not None:
+                groups.setdefault(owner, []).append(i)
         for i, (inp, g) in enumerate(zip(node.inputs, grads)):
             if g is None:
                 continue
             want = inp.value.data
             if (inp.grad is None and g.dtype == want.dtype and g.shape == want.shape
                     and g.flags.c_contiguous and not np.may_share_memory(g, upstream)
-                    and not any(other is not None and j != i
-                                and np.may_share_memory(g, other)
-                                for j, other in enumerate(grads))):
+                    and not any(j != i and np.may_share_memory(g, grads[j])
+                                for j in groups[owners[i]])):
                 # A fresh array no closure reads again: hand it over as is.
                 inp.grad = Tensor(g)
             else:
@@ -267,6 +273,13 @@ class Tape:
 
     def clear(self) -> None:
         self.nodes.clear()
+
+
+def _memory_owner(a: np.ndarray):
+    """The object at the end of ``a``'s chain of bases: what owns its memory."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
 
 
 def _tape_of(*tensors: DiffTensor) -> Tape:

@@ -1,5 +1,7 @@
 """Spiking neuron recurrence: hand-traced oracles and surrogate behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,14 @@ def test_nonfinite_input_names_the_timestep():
     tape = Tape()
     with pytest.raises(NumericError, match="timestep 2"):
         lif_forward(tape.leaf(stream))
+    # Finite float32 currents whose sum overflows are valid input.
+    big = np.full((4, 2), 3e38, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(big.sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spikes = lif_forward(tape.leaf(big)).value.data
+    assert spikes.dtype == np.float32 and np.all(spikes == 1.0)
 
 
 def test_rank_zero_input_rejected():

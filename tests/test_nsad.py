@@ -1,5 +1,7 @@
 """Attention denoiser: table materialization, invariants, gradient routing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,12 +179,19 @@ def test_denoise_index_wider_than_one_byte():
 def test_denoise_range_and_shape_validation():
     tape = Tape()
     head = NsadHead(tape, 4)
-    with pytest.raises(ScoreRangeError):
+    with pytest.raises(ScoreRangeError, match=r"outside \[0, 4\]: min -1.0"):
         denoise(_scores(-np.ones((1, 1, 1, 2, 2)), 4, tape), [head])
-    with pytest.raises(ScoreRangeError):
+    with pytest.raises(ScoreRangeError, match=r"outside \[0, 4\]: min 5.0, max 5.0"):
         denoise(_scores(np.full((1, 1, 1, 2, 2), 5.0), 4, tape), [head])
-    with pytest.raises(ScoreRangeError):
-        denoise(_scores(np.full((1, 1, 1, 2, 2), 0.5), 4, tape), [head])
+    # A fraction and a NaN fail the integrality test, with no warning from
+    # the cast to the index type.
+    for bad in (0.5, np.nan):
+        raw = np.full((1, 1, 1, 2, 2), 2.0)
+        raw[0, 0, 0, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScoreRangeError, match="non-integer attention score"):
+                denoise(_scores(raw, 4, tape), [head])
     with pytest.raises(ScoreRangeError):
         denoise(AttentionScores(tape.leaf(np.ones((2, 2))), 4), [head])
     with pytest.raises(ConfigError):

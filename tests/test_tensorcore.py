@@ -413,6 +413,30 @@ def test_shared_gradient_array_gives_independent_gradients():
         assert np.array_equal(b.grad.data, b_grad), name
 
 
+@pytest.mark.parametrize("overlap", [False, True])
+def test_views_of_one_fresh_array_are_handed_over_only_if_disjoint(overlap):
+    # A backward returns two views of one fresh array: disjoint views are
+    # handed over as they are, overlapping ones are copied, so that each
+    # leaf still gets an array of its own.
+    tape = Tape()
+    a = tape.leaf(np.zeros(2))
+    b = tape.leaf(np.zeros(2))
+    fresh = []
+
+    def backward(g):
+        fresh.append(np.arange(1.0, 5.0) * g)
+        return fresh[0][:2], fresh[0][1:3] if overlap else fresh[0][2:]
+
+    tape.backward(tape.record("views", (a, b), np.zeros(()), backward))
+    b_grad = [2.0, 3.0] if overlap else [3.0, 4.0]
+    assert np.array_equal(a.grad.data, [1.0, 2.0])
+    assert np.array_equal(b.grad.data, b_grad)
+    for leaf in (a, b):
+        assert np.may_share_memory(leaf.grad.data, fresh[0]) is not overlap
+    a.grad.data *= 5.0
+    assert np.array_equal(b.grad.data, b_grad)
+
+
 def test_backward_consumes_the_graph():
     tape = Tape()
     a = tape.leaf(np.array([1.0, 2.0, 3.0]))
