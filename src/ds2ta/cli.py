@@ -35,7 +35,14 @@ from .model import (ModelConfig, SpikingTransformer, config_from_dict,
                     load_checkpoint, parse_config_text)
 from .train import TrainConfig, evaluate, train
 
-MODES = ("ds2ta", "spatial-only", "nsad-only")
+# --mode -> (attention_mode, nsad_enabled): the four combinations of the
+# decay window and the denoiser.
+MODES = {
+    "ds2ta": ("tasa", True),
+    "window-only": ("tasa", False),
+    "nsad-only": ("spatial_only", True),
+    "spatial-only": ("spatial_only", False),
+}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -86,11 +93,9 @@ def build_parser() -> _Parser:
                    help="metrics log path (default: <out>.log.jsonl)")
     p.add_argument("--config", default=None, help="key=value model config file")
     p.add_argument("--mode", choices=MODES, default="ds2ta",
-                   help="ds2ta: windowed attention + denoiser; spatial-only: "
-                        "neither; nsad-only: denoiser without the window")
-    p.add_argument("--nsad-identity", action="store_true",
-                   help="pin the denoiser to the identity mapping "
-                        "(equivalent to disabling it)")
+                   help="ds2ta: windowed attention + denoiser; window-only: "
+                        "the window without the denoiser; nsad-only: the "
+                        "denoiser without the window; spatial-only: neither")
     p.add_argument("--t-aw", type=int, default=None, help="attention window override")
     p.add_argument("--tau-init", type=float, default=None, help="decay exponent init")
     p.add_argument("--u-init", type=float, default=None, help="denoiser threshold init")
@@ -201,16 +206,7 @@ def _model_config_for(args, dataset, config_values: dict[str, str], seed: int) -
         raise ConfigError(f"frames must be square, got {h}x{w}")
     cfg.timesteps, cfg.in_channels, cfg.img_size = t, c, h
     cfg.n_classes = dataset.n_classes
-    if args.mode == "ds2ta":
-        cfg.attention_mode, cfg.nsad_enabled = "tasa", True
-    elif args.mode == "spatial-only":
-        cfg.attention_mode, cfg.nsad_enabled = "spatial_only", False
-    else:  # nsad-only
-        cfg.attention_mode, cfg.nsad_enabled = "spatial_only", True
-    if args.nsad_identity:
-        # The identity table maps every score to itself, which is the same
-        # forward and backward as running without the denoiser.
-        cfg.nsad_enabled = False
+    cfg.attention_mode, cfg.nsad_enabled = MODES[args.mode]
     if args.t_aw is not None:
         cfg.t_aw = args.t_aw
     if args.tau_init is not None:
@@ -248,8 +244,7 @@ def _cmd_train(args) -> int:
     if args.lr is not None:
         tcfg.lr_init = args.lr
     metrics = train(model, dataset, tcfg, eval_dataset=eval_dataset)
-    resolved = {"model": vars(model_cfg), "train": vars(tcfg), "mode": args.mode,
-                "nsad_identity": bool(args.nsad_identity)}
+    resolved = {"model": vars(model_cfg), "train": vars(tcfg), "mode": args.mode}
     inputs = [args.data] + ([args.eval_data] if args.eval_data else [])
     _write_manifest(args.out, "train", resolved, {"seed": seed}, inputs,
                     [args.out, tcfg.log_path], started)

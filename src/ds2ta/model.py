@@ -25,9 +25,11 @@ builds it in double precision, which the end-to-end gradient check uses.
 Checkpoints are a flat little-endian binary container: magic ``DS2T``,
 format version, a canonical-text config blob, then named tensor records.
 Each record carries its dtype code, and a loaded model takes the dtype of
-its first record.  Denoiser tables are not stored; loading rebuilds
-them from the head scalars.  A round trip through disk reproduces forward
-outputs bitwise.
+its first record.  There is one record per parameter the configuration
+builds (a spatial-only model stores no ``tau``, a denoiser-off model no
+head scalars), and loading rejects any other record.  Denoiser tables are
+not stored; loading rebuilds them from the head scalars.  A round trip
+through disk reproduces forward outputs bitwise.
 """
 
 from __future__ import annotations
@@ -178,8 +180,11 @@ def config_from_text(text: str) -> ModelConfig:
     return config_from_dict(parse_config_text(text))
 
 
-def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
-    """[T, B, C, H, W] event frames -> [T, B, N, C*patch*patch] tokens."""
+def patchify(frames: np.ndarray, patch: int, dtype=np.float64) -> np.ndarray:
+    """[T, B, C, H, W] event frames -> [T, B, N, C*patch*patch] tokens.
+
+    The tokens are one contiguous copy in ``dtype``.
+    """
     frames = np.asarray(frames)
     if frames.ndim != 5:
         raise ConfigError(f"expected [T, B, C, H, W] frames, got shape {frames.shape}")
@@ -189,7 +194,7 @@ def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     gh, gw = h // patch, w // patch
     x = frames.reshape(t, b, c, gh, patch, gw, patch)
     x = x.transpose(0, 1, 3, 5, 2, 4, 6)
-    return np.ascontiguousarray(x.reshape(t, b, gh * gw, c * patch * patch), dtype=np.float64)
+    return np.ascontiguousarray(x.reshape(t, b, gh * gw, c * patch * patch), dtype=dtype)
 
 
 @dataclass
@@ -204,20 +209,27 @@ class BlockAttentionCapture:
 
 @dataclass
 class EncoderBlock:
+    """One block's parameters; ``tau`` and ``heads`` exist only in the
+    configurations that run the decay filter and the denoiser."""
+
     wq: DiffTensor
     wk: DiffTensor
     wv: DiffTensor
     wo: DiffTensor
     w1: DiffTensor
     w2: DiffTensor
-    tau: DiffTensor
+    tau: DiffTensor | None = None
     heads: list[NsadHead] = field(default_factory=list)
 
 
 class SpikingTransformer:
     """The assembled network; owns its parameters and their tape.
 
-    Every parameter, and every value the forward pass computes, has
+    It builds only the parameters its configuration runs: a block has a
+    decay exponent ``tau`` only with ``attention_mode="tasa"`` and denoiser
+    heads only with ``nsad_enabled``.  Neither draws from the init stream,
+    so the weights of every configuration come from the same draws.  Every
+    parameter, and every value the forward pass computes, has
     ``dtype`` (float32 or float64).  Initial values are drawn in float64
     and then cast, so both precisions start from the same draws.
     """
@@ -249,10 +261,11 @@ class SpikingTransformer:
                 wo=weight(f"block{l}.attn.wo", d_model, d_model),
                 w1=weight(f"block{l}.mlp.w1", d_model, hidden),
                 w2=weight(f"block{l}.mlp.w2", hidden, d_model),
-                tau=self.tape.leaf(np.asarray(float(cfg.tau_init)), dtype=self.dtype),
             )
-            self.params[f"block{l}.attn.tau"] = blk.tau
-            for h in range(cfg.heads):
+            if cfg.attention_mode == "tasa":
+                blk.tau = self.tape.leaf(np.asarray(float(cfg.tau_init)), dtype=self.dtype)
+                self.params[f"block{l}.attn.tau"] = blk.tau
+            for h in range(cfg.heads if cfg.nsad_enabled else 0):
                 head = NsadHead(self.tape, cfg.head_dim, u_init=cfg.u_init,
                                 dtype=self.dtype)
                 blk.heads.append(head)
@@ -284,15 +297,14 @@ class SpikingTransformer:
         differences (gradient checking only).
         """
         cfg = self.cfg
-        x = patchify(frames, cfg.patch_size)
+        # The frames are a constant input: they get no gradient.
+        x = patchify(frames, cfg.patch_size, self.dtype)
         if x.shape[0] != cfg.timesteps or x.shape[2] != cfg.tokens \
                 or x.shape[3] != cfg.patch_values:
             raise ConfigError(f"frames of shape {frames.shape} do not match the "
                               f"configured geometry {cfg.timesteps}x{cfg.in_channels}"
                               f"x{cfg.img_size}x{cfg.img_size}")
         lifp = LifParams(cfg.tau_m, cfg.theta, cfg.surrogate_alpha)
-        # The frames are a constant input: they get no gradient.
-        x = np.asarray(x, dtype=self.dtype)
         s = lif_linear(x, self.params["embed.w"], lifp, smooth=smooth)
         del x
         # Each half of a block is one call, so that its input is released
@@ -315,7 +327,7 @@ class SpikingTransformer:
         the arrays themselves, as nothing writes to a node's output.
         """
         cfg = self.cfg
-        tasa_on = cfg.attention_mode == "tasa"
+        tasa_on = blk.tau is not None
         if tasa_on:
             tau_int = tau_round_ste(blk.tau, cfg.tau_max)
             f = temporal_filter(s, cfg.t_aw, tau_int)
@@ -329,7 +341,7 @@ class SpikingTransformer:
         del q, k
         if maps is not None:
             maps.append(sc.scores.value.data)
-        att = denoise(sc, blk.heads, continuous=smooth) if cfg.nsad_enabled else sc.scores
+        att = denoise(sc, blk.heads, continuous=smooth) if blk.heads else sc.scores
         del sc
         if maps is not None:
             maps.append(att.value.data)

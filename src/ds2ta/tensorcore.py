@@ -124,17 +124,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    @classmethod
-    def zeros(cls, shape, dtype=np.float64) -> "Tensor":
-        return cls(np.zeros(shape, dtype=dtype))
-
-    @classmethod
-    def full(cls, shape, value, dtype=np.float64) -> "Tensor":
-        return cls(np.full(shape, value, dtype=dtype))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
@@ -346,30 +335,12 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return tape.record("matmul", (a, b), out, backward)
 
 
-def _ewise(name, a, b, fwd, bwd):
+def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     tape = _tape_of(a, b)
     x, y = a.value.data, b.value.data
     if x.shape != y.shape:
-        raise DimensionError(f"{name} operand shapes differ: {x.shape} vs {y.shape}")
-    return tape.record(name, (a, b), fwd(x, y), lambda g: bwd(g, x, y))
-
-
-def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    return _ewise("add", a, b, lambda x, y: x + y, lambda g, x, y: (g, g))
-
-
-def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    return _ewise("sub", a, b, lambda x, y: x - y, lambda g, x, y: (g, -g))
-
-
-def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    return _ewise("mul", a, b, lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
-
-
-def scale(a: DiffTensor, c: float) -> DiffTensor:
-    """Multiply by a python scalar constant (the only implicit broadcast)."""
-    c = float(c)
-    return a.tape.record("scale", (a,), a.value.data * c, lambda g: (g * c,))
+        raise DimensionError(f"add operand shapes differ: {x.shape} vs {y.shape}")
+    return tape.record("add", (a, b), x + y, lambda g: (g, g))
 
 
 def _normalize_axes(axes, ndim) -> tuple[int, ...]:
@@ -387,29 +358,18 @@ def _normalize_axes(axes, ndim) -> tuple[int, ...]:
     return tuple(sorted(norm))
 
 
-def _reduce(name, a, axes, mean: bool):
-    tape = a.tape
+def reduce_mean(a: DiffTensor, axes=None) -> DiffTensor:
     x = a.value.data
     axes = _normalize_axes(axes, x.ndim)
     count = int(np.prod([x.shape[ax] for ax in axes])) if axes else 1
-    out = x.mean(axis=axes) if mean else x.sum(axis=axes)
 
     def backward(g):
         gk = np.expand_dims(g, axes) if axes else g
         full = np.broadcast_to(gk, x.shape).astype(x.dtype, copy=True)
-        if mean:
-            full /= count
+        full /= count
         return (full,)
 
-    return tape.record(name, (a,), out, backward)
-
-
-def reduce_sum(a: DiffTensor, axes=None) -> DiffTensor:
-    return _reduce("reduce_sum", a, axes, mean=False)
-
-
-def reduce_mean(a: DiffTensor, axes=None) -> DiffTensor:
-    return _reduce("reduce_mean", a, axes, mean=True)
+    return a.tape.record("reduce_mean", (a,), x.mean(axis=axes), backward)
 
 
 def reshape(a: DiffTensor, shape) -> DiffTensor:

@@ -136,7 +136,9 @@ def clip_global_norm(named_params, max_norm: float) -> float:
 def apply_projections(model: SpikingTransformer) -> None:
     """Clamp denoiser thresholds to u >= 0 and decay exponents to range."""
     for blk in model.blocks:
-        np.clip(blk.tau.value.data, 0.0, float(model.cfg.tau_max), out=blk.tau.value.data)
+        if blk.tau is not None:
+            np.clip(blk.tau.value.data, 0.0, float(model.cfg.tau_max),
+                    out=blk.tau.value.data)
         for head in blk.heads:
             np.clip(head.u.value.data, 0.0, None, out=head.u.value.data)
 

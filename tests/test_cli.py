@@ -182,15 +182,25 @@ def _model_cfg_file(workdir):
     return path
 
 
-def test_train_nsad_identity_disables_the_denoiser(workdir, tiny_data):
-    out = workdir / "identity.ckpt"
+@pytest.mark.parametrize("mode, attention_mode, nsad_enabled", [
+    ("ds2ta", "tasa", True), ("window-only", "tasa", False),
+    ("nsad-only", "spatial_only", True), ("spatial-only", "spatial_only", False)],
+    ids=["ds2ta", "window-only", "nsad-only", "spatial-only"])
+def test_train_mode_selects_window_and_denoiser(workdir, tiny_data, mode,
+                                                attention_mode, nsad_enabled):
+    out = workdir / f"{mode}.ckpt"
     rc = cli.main(["train", "--data", str(tiny_data), "--out", str(out),
-                   "--epochs", "1", "--batch-size", "8", "--nsad-identity",
+                   "--epochs", "1", "--batch-size", "8", "--mode", mode,
                    "--config", str(_model_cfg_file(workdir)), "--seed", "0"])
     assert rc == 0
-    manifest = json.loads((workdir / "identity.ckpt.manifest.json").read_text())
-    assert manifest["config"]["model"]["nsad_enabled"] is False
-    assert manifest["config"]["nsad_identity"] is True
+    manifest = json.loads((workdir / f"{mode}.ckpt.manifest.json").read_text())
+    assert manifest["config"]["mode"] == mode
+    assert "nsad_identity" not in manifest["config"]
+    model = manifest["config"]["model"]
+    assert (model["attention_mode"], model["nsad_enabled"]) == (attention_mode, nsad_enabled)
+    reloaded = load_checkpoint(out)
+    assert (reloaded.blocks[0].tau is not None) == (attention_mode == "tasa")
+    assert len(reloaded.blocks[0].heads) == (2 if nsad_enabled else 0)
 
 
 def test_train_config_file_seed_beats_env(workdir, tiny_data, monkeypatch):
@@ -323,6 +333,28 @@ def test_eval_config_blob_bad_value_is_a_data_error(ckpt, tiny_data, workdir, ca
     assert len(err) == 1
     assert "data error: invalid config blob: heads must be >= 1, got 0" in err[0]
     assert "byte offset 12" in err[0]
+
+
+def test_eval_checkpoint_with_unbuilt_parameters_is_a_data_error(ckpt, tiny_data,
+                                                                workdir, capsys):
+    # Spatial-only checkpoints once held the decay exponent and the head
+    # scalars of the full model; a spatial-only model builds neither.
+    raw = ckpt.read_bytes()
+    blob_end = 12 + int.from_bytes(raw[8:12], "little")
+    blob, records = raw[12:blob_end], raw[blob_end:]
+    for old, new in ((b"attention_mode=tasa\n", b"attention_mode=spatial_only\n"),
+                     (b"nsad_enabled=true\n", b"nsad_enabled=false\n")):
+        assert blob.count(old) == 1
+        blob = blob.replace(old, new)
+    bad = workdir / "old_spatial.ckpt"
+    bad.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + records)
+    tau_at = 12 + len(blob) + records.index(b"block0.attn.tau") - 2  # u16 name length
+    rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(tiny_data)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "data error: unknown tensor record 'block0.attn.tau'" in err[0]
+    assert f"byte offset {tau_at}" in err[0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -265,14 +265,34 @@ def test_forward_rejects_wrong_geometry():
         model.forward(bad_hw)
 
 
+# --mode -> config fields; a model builds a decay exponent only with the
+# window and head scalars only with the denoiser.
+MODES = {
+    "ds2ta": dict(attention_mode="tasa", nsad_enabled=True),
+    "window-only": dict(attention_mode="tasa", nsad_enabled=False),
+    "nsad-only": dict(attention_mode="spatial_only", nsad_enabled=True),
+    "spatial-only": dict(attention_mode="spatial_only", nsad_enabled=False),
+}
+
+
+def expected_names(mode):
+    tasa = MODES[mode]["attention_mode"] == "tasa"
+    nsad = MODES[mode]["nsad_enabled"]
+    return (["embed.w"]
+            + [f"block0.{w}" for w in ("attn.wq", "attn.wk", "attn.wv", "attn.wo",
+                                       "mlp.w1", "mlp.w2")]
+            + ["block0.attn.tau"] * tasa
+            + [f"block0.attn.nsad{h}.{p}" for h in range(2 * nsad)
+               for p in ("a", "b", "c", "dw", "e", "u")]
+            + ["head.w", "head.b"])
+
+
 def test_parameter_names():
-    model = SpikingTransformer(micro_config())
-    names = {name for name, _ in model.parameters()}
-    assert "embed.w" in names
-    assert "block0.attn.wq" in names and "block0.mlp.w2" in names
-    assert "block0.attn.tau" in names
-    assert "block0.attn.nsad0.a" in names and "block0.attn.nsad1.u" in names
-    assert "head.w" in names and "head.b" in names
+    for mode, fields in MODES.items():
+        model = SpikingTransformer(micro_config(**fields))
+        assert [name for name, _ in model.parameters()] == expected_names(mode), mode
+        assert (model.blocks[0].tau is not None) == (fields["attention_mode"] == "tasa")
+        assert len(model.blocks[0].heads) == 2 * fields["nsad_enabled"]
 
 
 def test_init_is_seeded():
@@ -391,6 +411,32 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         for ha, hb in zip(blk_a.heads, blk_b.heads):
             assert np.array_equal(ha.table, hb.table)
     assert np.array_equal(again.forward_logits(frames), before)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_checkpoint_holds_only_what_the_mode_builds(tmp_path, mode):
+    cfg = micro_config(seed=5, **MODES[mode])
+    model = SpikingTransformer(cfg)
+    for head in model.blocks[0].heads:
+        head.set_params(a=1.3, u=0.5)
+    frames = random_frames(cfg, seed=5)
+    before = model.forward_logits(frames)
+    path = tmp_path / f"{mode}.ckpt"
+    save_checkpoint(model, path)
+    _, records = _records(path.read_bytes())
+    assert [name for name, _, _, _, _ in records] == expected_names(mode)
+
+    again = load_checkpoint(path)
+    assert vars(again.cfg) == vars(cfg)
+    assert list(again.params) == expected_names(mode)
+    for name, p in model.parameters():
+        assert np.array_equal(p.value.data, again.params[name].value.data), name
+    for ha, hb in zip(model.blocks[0].heads, again.blocks[0].heads, strict=True):
+        assert np.array_equal(ha.table, hb.table)
+    assert np.array_equal(again.forward_logits(frames), before)
+    path2 = tmp_path / f"{mode}.again.ckpt"
+    save_checkpoint(again, path2)
+    assert path2.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_roundtrip_with_optimizer(tmp_path):

@@ -9,8 +9,13 @@ import pytest
 from ds2ta.errors import AxisError, DimensionError, LabelError
 from ds2ta.tensorcore import (MAX_RANK, DiffTensor, Tape, Tensor, add, bias_add,
                               check_gradients, cross_entropy_logits, make_rng,
-                              matmul, mul, reduce_mean, reduce_sum, reshape,
-                              round_half_away, scale, sub, transpose)
+                              matmul, reduce_mean, reshape, round_half_away,
+                              transpose)
+
+
+def gram_mean(m):
+    """Mean of ``m @ m.T`` for a rank-2 ``m``: a scalar quadratic in ``m``."""
+    return reduce_mean(matmul(m, transpose(m, (1, 0))))
 
 
 def test_tensor_defaults_to_float64():
@@ -133,9 +138,6 @@ def test_elementwise_values():
     x = tape.leaf(np.array([1.0, -2.0, 3.0]))
     y = tape.leaf(np.array([4.0, 5.0, -6.0]))
     assert np.array_equal(add(x, y).value.data, [5.0, 3.0, -3.0])
-    assert np.array_equal(sub(x, y).value.data, [-3.0, -7.0, 9.0])
-    assert np.array_equal(mul(x, y).value.data, [4.0, -10.0, -18.0])
-    assert np.array_equal(scale(x, -2.0).value.data, [-2.0, 4.0, -6.0])
 
 
 def test_elementwise_rejects_shape_mismatch():
@@ -147,10 +149,7 @@ def test_elementwise_rejects_shape_mismatch():
 def test_elementwise_gradients():
     rng = make_rng(5)
     x, y = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-    for op in (add, sub, mul):
-        rep = check_gradients(lambda a, b: reduce_sum(op(a, b)), [x, y])
-        assert rep.passed, op.__name__
-    rep = check_gradients(lambda a: reduce_sum(scale(a, 3.5)), [x])
+    rep = check_gradients(lambda a, b: gram_mean(add(a, b)), [x, y])
     assert rep.passed
 
 
@@ -162,9 +161,9 @@ def test_reduce_values_and_axes():
     x = rng.normal(size=(2, 3, 4))
     tape = Tape()
     leaf = tape.leaf(x)
-    assert np.allclose(reduce_sum(leaf, axes=1).value.data, x.sum(axis=1))
+    assert np.allclose(reduce_mean(leaf, axes=1).value.data, x.mean(axis=1))
     assert np.allclose(reduce_mean(leaf, axes=(0, 2)).value.data, x.mean(axis=(0, 2)))
-    assert np.allclose(reduce_sum(leaf, axes=-1).value.data, x.sum(axis=-1))
+    assert np.allclose(reduce_mean(leaf, axes=-1).value.data, x.mean(axis=-1))
     assert np.allclose(reduce_mean(leaf).value.data, x.mean())
 
 
@@ -172,20 +171,11 @@ def test_reduce_axis_validation():
     tape = Tape()
     leaf = tape.leaf(np.ones((2, 3)))
     with pytest.raises(AxisError):
-        reduce_sum(leaf, axes=2)
+        reduce_mean(leaf, axes=2)
     with pytest.raises(AxisError):
-        reduce_sum(leaf, axes=(0, 0))
+        reduce_mean(leaf, axes=(0, 0))
     with pytest.raises(AxisError):
         reduce_mean(leaf, axes=(1, -1))  # -1 aliases 1
-
-
-def test_reduce_sum_backward_is_ones():
-    """The gradient of a full sum is exactly one everywhere."""
-    tape = Tape()
-    leaf = tape.leaf(np.arange(6, dtype=np.float64).reshape(2, 3))
-    out = reduce_sum(leaf)
-    tape.backward(out)
-    assert np.array_equal(leaf.grad.data, np.ones((2, 3)))
 
 
 def test_reduce_mean_backward_divides_by_count():
@@ -198,7 +188,7 @@ def test_reduce_mean_backward_divides_by_count():
 def test_reduce_gradients():
     rng = make_rng(7)
     x = rng.normal(size=(2, 3, 2))
-    rep = check_gradients(lambda a: reduce_mean(reduce_sum(a, axes=(1,))), [x])
+    rep = check_gradients(lambda a: gram_mean(reduce_mean(a, axes=(1,))), [x])
     assert rep.passed
 
 
@@ -211,7 +201,7 @@ def test_reshape_roundtrip_and_gradient():
     tape = Tape()
     out = reshape(tape.leaf(x), (3, 4))
     assert np.array_equal(out.value.data, x.reshape(3, 4))
-    rep = check_gradients(lambda a: reduce_sum(mul(reshape(a, (3, 4)), reshape(a, (3, 4)))), [x])
+    rep = check_gradients(lambda a: gram_mean(reshape(a, (3, 4))), [x])
     assert rep.passed
     with pytest.raises(DimensionError):
         reshape(tape.leaf(x), (5, 2))
@@ -223,7 +213,8 @@ def test_transpose_values_and_gradient():
     tape = Tape()
     out = transpose(tape.leaf(x), (2, 0, 1))
     assert np.array_equal(out.value.data, x.transpose(2, 0, 1))
-    rep = check_gradients(lambda a: reduce_mean(mul(transpose(a, (1, 0, 2)), transpose(a, (1, 0, 2)))), [x])
+    rep = check_gradients(
+        lambda a: reduce_mean(matmul(transpose(a, (1, 0, 2)), transpose(a, (1, 2, 0)))), [x])
     assert rep.passed
     with pytest.raises(AxisError):
         transpose(tape.leaf(x), (0, 1))
@@ -306,21 +297,21 @@ def test_gradient_accumulation_matches_scaling():
     x = np.array([1.5, -2.0, 0.5])
     tape = Tape()
     leaf = tape.leaf(x)
-    tape.backward(reduce_sum(add(leaf, leaf)))
+    tape.backward(reduce_mean(add(leaf, leaf)))
     twice = leaf.grad.data.copy()
 
     tape2 = Tape()
     leaf2 = tape2.leaf(x)
-    tape2.backward(reduce_sum(scale(leaf2, 2.0)))
-    assert np.array_equal(twice, leaf2.grad.data)
+    tape2.backward(reduce_mean(leaf2))
+    assert np.array_equal(twice, 2.0 * leaf2.grad.data)
 
 
 def test_backward_skips_unreachable_nodes():
     tape = Tape()
     a = tape.leaf(np.ones(3))
     b = tape.leaf(np.ones(3))
-    side = mul(b, b)  # never feeds the root
-    root = reduce_sum(add(a, a))
+    side = add(b, b)  # never feeds the root
+    root = reduce_mean(add(a, a))
     tape.backward(root)
     assert a.grad is not None
     assert b.grad is None
@@ -329,7 +320,7 @@ def test_backward_skips_unreachable_nodes():
 
 def test_backward_rejects_foreign_root():
     tape, other = Tape(), Tape()
-    root = reduce_sum(other.leaf(np.ones(2)))
+    root = reduce_mean(other.leaf(np.ones(2)))
     with pytest.raises(ValueError):
         tape.backward(root)
 
@@ -343,13 +334,13 @@ def test_mixed_tape_operands_rejected():
 def test_clear_keeps_leaves_usable():
     # A training loop records a fresh graph per step over long-lived leaves.
     tape = Tape()
-    leaf = tape.leaf(np.array([2.0, 3.0]))
-    tape.backward(reduce_sum(mul(leaf, leaf)))
+    leaf = tape.leaf(np.array([[2.0, 3.0]]))
+    tape.backward(gram_mean(leaf))
     first = leaf.grad.data.copy()
     tape.clear()
     leaf.zero_grad()
     assert not tape.nodes
-    tape.backward(reduce_sum(mul(leaf, leaf)))
+    tape.backward(gram_mean(leaf))
     assert np.array_equal(leaf.grad.data, first)
 
 
@@ -376,14 +367,17 @@ def test_shared_gradient_array_gives_independent_gradients():
     # as a first gradient (add returns one array for both operands), or
     # one fresh array for two operands ("twin").  The upstream arrays are
     # kept, as a tracer wrapping the closures may, and every leaf must
-    # still get an array of its own.
+    # still get an array of its own.  Backward seeds each root with ones.
     def twin(a, b):
         return a.tape.record("twin", (a, b), a.data + b.data, lambda g: (g * 1.0,) * 2)
+
+    def negated_twin(a, b):
+        return a.tape.record("negated_twin", (a, b), a.data - b.data, lambda g: (g, -g))
 
     cases = {
         "twin": (twin, [1.0, 1.0]),
         "add": (lambda a, b: add(a, b), [1.0, 1.0]),
-        "sub": (lambda a, b: sub(a, b), [-1.0, -1.0]),
+        "negated_twin": (negated_twin, [-1.0, -1.0]),
         "reshape": (lambda a, b: add(reshape(a, (2, 1)), reshape(b, (2, 1))), [1.0, 1.0]),
         "bias_add": (lambda a, b: bias_add(reshape(a, (1, 2)), b), [1.0, 1.0]),
     }
@@ -391,7 +385,7 @@ def test_shared_gradient_array_gives_independent_gradients():
         tape = Tape()
         a = tape.leaf(np.array([1.0, 2.0]))
         b = tape.leaf(np.array([3.0, 4.0]))
-        root = reduce_sum(fn(a, b))
+        root = fn(a, b)
         upstream = []
 
         def keep(backward):
@@ -439,15 +433,16 @@ def test_views_of_one_fresh_array_are_handed_over_only_if_disjoint(overlap):
 
 def test_backward_consumes_the_graph():
     tape = Tape()
-    a = tape.leaf(np.array([1.0, 2.0, 3.0]))
-    hidden = mul(a, a)
+    a = tape.leaf(np.array([[1.0, 2.0, 3.0]]))
+    hidden = matmul(transpose(a, (1, 0)), a)
     released = weakref.ref(hidden.value.data)
-    root = reduce_sum(scale(hidden, 2.0))
+    root = reduce_mean(hidden)
     del hidden
     tape.backward(root)
     gc.collect()
     assert not tape.nodes
-    assert np.array_equal(a.grad.data, [4.0, 8.0, 12.0])
+    # d/da of mean(a.T @ a) over 3x3 entries is 2 * sum(a) / 9
+    assert np.allclose(a.grad.data, np.full((1, 3), 12.0 / 9.0))
     assert root.grad is None
     assert released() is None
 
@@ -466,7 +461,7 @@ def test_values_and_gradients_are_deterministic():
         tape = Tape()
         a = tape.leaf(rng.normal(size=(3, 3)))
         b = tape.leaf(rng.normal(size=(3, 3)))
-        out = reduce_mean(mul(matmul(a, b), add(a, b)))
+        out = reduce_mean(matmul(matmul(a, b), add(a, b)))
         tape.backward(out)
         return float(out.value.data), a.grad.data.copy(), b.grad.data.copy()
 
